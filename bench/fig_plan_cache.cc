@@ -1,7 +1,6 @@
-// Self-tuning fast-path figure: what the parameterized plan cache saves
-// and what mid-query index adoption hides.
+// Self-tuning fast-path figure: what the parameterized plan cache saves.
 //
-// Three sections:
+// Two sections:
 //   planning    - per-query planning wall on the cached engine, split by
 //                 path: optimizer wall per miss vs lookup+rebind wall per
 //                 hit, and the resulting overhead share (the number the
@@ -11,10 +10,6 @@
 //   cached /    - QPS and p50/p99 for 1/2/4/8 concurrent clients over a
 //   uncached      parameterized relational mix, cache-enabled engine vs
 //                 cache-disabled engine on identical tables.
-//   adoption    - timeline of a cold index-backed semantic select stream
-//                 with async builds: per-query latency, the adoption
-//                 counter, and index residency as the background IVF
-//                 build completes and the scan swaps onto it mid-query.
 //
 // Scaling knobs: CRE_PLANCACHE_ROWS (base table rows),
 // CRE_PLANCACHE_QUERIES (queries per client).
@@ -44,7 +39,6 @@
 #include "datagen/vocabulary.h"
 #include "embed/structured_model.h"
 #include "engine/engine.h"
-#include "index/index_manager.h"
 #include "plan/plan_node.h"
 
 namespace cre {
@@ -259,52 +253,6 @@ int main(int argc, char** argv) {
                         {"per_miss_ms", per_miss_ms},
                         {"per_hit_ms", per_hit_ms},
                         {"overhead_pct", overhead_pct}});
-
-  // --- adoption timeline -----------------------------------------------
-  // A cold stream of identical pinned-IVF selects with async builds: the
-  // first queries scan brute-force while the build runs at background
-  // priority; a query in flight when the build lands swaps its remaining
-  // morsels onto the index (cre_index_adoptions_total ticks).
-  {
-    EngineOptions eo;
-    // Pinned dop + morsel geometry: the adoptive fallback needs multiple
-    // morsel waves per query, independent of the runner's core count.
-    eo.num_threads = 4;
-    eo.morsel_rows = 512;
-    eo.tuning.enabled = false;
-    eo.optimizer.allow_approximate_similarity = true;
-    eo.index.async_builds = true;
-    Engine sem(eo);
-    sem.catalog().Put("items", items);
-    sem.models().Put("m", model);
-    auto sem_plan = [&] {
-      PlanPtr s = PlanNode::SemanticSelect(PlanNode::Scan("items"), "word",
-                                           words[0], "m", 0.85f);
-      s->strategy = SemanticJoinStrategy::kIvf;
-      s->strategy_pinned = true;
-      return s;
-    };
-    const IndexKey key{"items", "word", "m", SemanticJoinStrategy::kIvf};
-    std::printf("\nadoption timeline (cold -> adopted -> warm):\n");
-    std::printf("%8s %12s %10s %10s\n", "query", "latency[ms]", "adoptions",
-                "resident");
-    for (std::size_t q = 0; q < 8; ++q) {
-      const Clock::time_point start = Clock::now();
-      auto r = sem.ExecuteUnoptimized(sem_plan());
-      r.status().Check();
-      const double ms =
-          std::chrono::duration<double>(Clock::now() - start).count() * 1e3;
-      const bool resident = sem.index_manager()->IsResident(key);
-      std::printf("%8zu %12.3f %10llu %10s\n", q, ms,
-                  static_cast<unsigned long long>(sem.index_adoptions()),
-                  resident ? "yes" : "no");
-      json.Add("adoption", {{"query", static_cast<double>(q)},
-                            {"latency_ms", ms},
-                            {"adoptions",
-                             static_cast<double>(sem.index_adoptions())},
-                            {"resident", resident ? 1.0 : 0.0}});
-    }
-  }
 
   json.SetEngineMetrics(cached->metrics()->Snapshot().ToJson());
 

@@ -97,7 +97,6 @@ void Engine::RegisterCollectors() {
              static_cast<double>(s.resident_count));
     e->Gauge("cre_index_resident_bytes", {},
              static_cast<double>(s.resident_bytes));
-    e->Counter("cre_index_adoptions_total", {}, index_adoptions());
 
     // Admission control.
     const AdmissionStats adm = scheduler_->admission_stats();
@@ -435,11 +434,7 @@ Result<OperatorPtr> Engine::LowerImpl(QueryContext* ctx,
 }
 
 Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
-                                                const PlanNode& node,
-                                                bool* build_in_flight,
-                                                std::size_t min_row_id,
-                                                bool exact_verify) {
-  if (build_in_flight != nullptr) *build_in_flight = false;
+                                                const PlanNode& node) {
   if (!node.IndexBackedSelect() || !options_.index.enabled) {
     return OperatorPtr();
   }
@@ -468,14 +463,11 @@ Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
     span.Annotate("outcome", "index");
     return OperatorPtr(std::make_unique<SemanticIndexSelectOperator>(
         std::move(vt.table), node.column, node.query, std::move(model),
-        node.threshold, std::move(ready.index), min_row_id, exact_verify));
+        node.threshold, std::move(ready.index)));
   }
   // Build in flight (the background task will serve future queries), or
   // the ready index was built against a different version than this
-  // query's snapshot: serve this query via the scanning fallback. The
-  // in-flight signal lets the parallel driver keep polling and adopt the
-  // index for its remaining morsels the moment the build lands.
-  if (build_in_flight != nullptr) *build_in_flight = ready.build_in_flight;
+  // query's snapshot: serve this query via the scanning fallback.
   span.Annotate("outcome", ready.build_in_flight ? "build-in-flight"
                                                  : "version-mismatch");
   return OperatorPtr();
@@ -719,17 +711,23 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
 Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
                                     bool optimize, const char* kind) {
   std::shared_ptr<QueryTrace> trace = AdmitForObs(ctx, kind);
-  Timer timer;
+  const Timer timer;
+  const Result<PlanPtr> physical =
+      optimize ? OptimizePlan(ctx, plan, trace.get(), /*origin=*/nullptr)
+               : Result<PlanPtr>(plan);
+  return ExecuteTracked(ctx, physical, kind, timer, std::move(trace));
+}
+
+Result<TablePtr> Engine::ExecuteTracked(QueryContext* ctx,
+                                        const Result<PlanPtr>& physical,
+                                        const char* kind, const Timer& timer,
+                                        std::shared_ptr<QueryTrace> trace) {
   std::size_t rows = 0;
   Result<TablePtr> result = [&]() -> Result<TablePtr> {
-    PlanPtr physical = plan;
-    if (optimize) {
-      CRE_ASSIGN_OR_RETURN(
-          physical, OptimizePlan(ctx, plan, trace.get(), /*origin=*/nullptr));
-    }
+    CRE_RETURN_NOT_OK(physical.status());
     ScopedSpan span(trace.get(), nullptr, "execute");
     ctx->set_trace_parent(span.span());
-    auto r = RunPhysical(ctx, physical);
+    auto r = RunPhysical(ctx, physical.ValueUnsafe());
     ctx->set_trace_parent(nullptr);
     if (r.ok()) rows = r.ValueUnsafe()->num_rows();
     return r;
@@ -869,14 +867,16 @@ void RenderAnalyzedNode(const PlanNode& node, int depth,
   const std::size_t dop =
       node.kind == PlanKind::kSemanticGroupBy ? 1 : engine_dop;
   if (OperatorStats* slot = stats.FindSlot(&node)) {
-    const double wall =
+    // Summed over every per-morsel instance on every worker, child time
+    // included: CPU time, not a wall interval.
+    const double cpu =
         slot->open_seconds.load(std::memory_order_relaxed) +
         slot->next_seconds.load(std::memory_order_relaxed);
     char buf[128];
     std::snprintf(buf, sizeof(buf),
-                  "  [rows=%zu batches=%zu wall=%.3fms dop=%zu]",
+                  "  [rows=%zu batches=%zu cpu=%.3fms dop=%zu]",
                   slot->rows.load(std::memory_order_relaxed),
-                  slot->batches.load(std::memory_order_relaxed), wall * 1e3,
+                  slot->batches.load(std::memory_order_relaxed), cpu * 1e3,
                   dop);
     *out += buf;
   } else {
@@ -916,41 +916,32 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
   std::shared_ptr<QueryTrace> trace =
       AdmitForObs(&ctx, "explain_analyze", /*force_trace=*/true);
 
-  PlanPtr optimized;
   std::string plan_origin;
-  CRE_ASSIGN_OR_RETURN(optimized,
-                       OptimizePlan(&ctx, plan, trace.get(), &plan_origin));
+  const Result<PlanPtr> planned =
+      OptimizePlan(&ctx, plan, trace.get(), &plan_origin);
 
   // Residency of every managed index the plan consults, probed before and
   // after execution — the rendering shows the transition the execution
   // itself caused (on-disk -> resident for a warm start, absent ->
   // building for a kicked-off background build, ...).
   std::vector<IndexKey> index_keys;
-  if (options_.index.enabled) CollectIndexKeys(*optimized, &index_keys);
+  if (planned.ok() && options_.index.enabled) {
+    CollectIndexKeys(*planned.ValueUnsafe(), &index_keys);
+  }
   std::vector<IndexResidency> residency_before;
   residency_before.reserve(index_keys.size());
   for (const IndexKey& key : index_keys) {
     residency_before.push_back(index_manager_->Residency(key));
   }
 
-  Timer timer;
-  Result<TablePtr> result = [&]() -> Result<TablePtr> {
-    ScopedSpan span(trace.get(), nullptr, "execute");
-    ctx.set_trace_parent(span.span());
-    auto r = RunPhysical(&ctx, optimized);
-    ctx.set_trace_parent(nullptr);
-    return r;
-  }();
-  if (!result.ok() && result.status().IsCancelled() &&
-      ctx.cancel_flag() != nullptr && ctx.cancel_flag()->deadline_exceeded()) {
-    result = Status::DeadlineExceeded("query deadline exceeded");
-  }
+  // The header's wall covers execution only; planning shows in the trace.
+  const Timer timer;
+  CRE_ASSIGN_OR_RETURN(
+      TablePtr table,
+      ExecuteTracked(&ctx, planned, "explain_analyze", timer, trace));
   const double total_seconds = timer.Seconds();
-  const std::size_t rows =
-      result.ok() ? result.ValueUnsafe()->num_rows() : 0;
-  FinishQuery(&ctx, "explain_analyze", total_seconds, result.status(), rows,
-              trace);
-  CRE_RETURN_NOT_OK(result.status());
+  const std::size_t rows = table->num_rows();
+  const PlanPtr& optimized = planned.ValueUnsafe();
 
   const std::size_t dop = pool_ == nullptr ? 1 : pool_->num_threads();
   std::string out;
@@ -966,7 +957,7 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
   char sched_line[160];
   std::snprintf(sched_line, sizeof(sched_line),
                 "scheduling: tasks submitted=%llu dispatched=%llu "
-                "queue wait=%.3fms admission=%.3fms\n",
+                "queue wait (summed over tasks)=%.3fms admission=%.3fms\n",
                 static_cast<unsigned long long>(sched.tasks_submitted),
                 static_cast<unsigned long long>(sched.tasks_dispatched),
                 sched.queue_wait_seconds * 1e3, sched.admission_seconds * 1e3);

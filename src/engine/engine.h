@@ -9,6 +9,7 @@
 
 #include "core/resource_governor.h"
 #include "core/thread_pool.h"
+#include "core/timer.h"
 #include "embed/model_registry.h"
 #include "engine/query_context.h"
 #include "engine/scheduler.h"
@@ -146,15 +147,6 @@ class Engine {
   KnobTuner* knob_tuner() { return knob_tuner_.get(); }
   const KnobTuner* knob_tuner() const { return knob_tuner_.get(); }
 
-  /// Mid-query index adoptions: fallback scans that swapped their
-  /// remaining morsels onto a freshly completed background index build.
-  void RecordIndexAdoption() {
-    index_adoptions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint64_t index_adoptions() const {
-    return index_adoptions_.load(std::memory_order_relaxed);
-  }
-
   const EngineOptions& options() const { return options_; }
   void set_optimizer_options(const OptimizerOptions& o) {
     options_.optimizer = o;
@@ -235,19 +227,8 @@ class Engine {
   /// use the scanning brute-force fallback instead — because a
   /// background build is still in flight, or the resident index was
   /// built against a different table version than this query's snapshot.
-  ///
-  /// `build_in_flight` (optional) reports whether a background build for
-  /// this node's index was running at probe time — the parallel driver's
-  /// mid-query adoption signal. `min_row_id` restricts the operator to
-  /// rows >= that id (the rows an adopting driver has not yet scanned);
-  /// `exact_verify` re-scores index candidates with exact brute-force
-  /// dots so approximate probes (e.g. IVF-PQ's quantized distances)
-  /// cannot admit rows the scanning fallback would reject.
   Result<OperatorPtr> TryLowerIndexSelect(QueryContext* ctx,
-                                          const PlanNode& node,
-                                          bool* build_in_flight = nullptr,
-                                          std::size_t min_row_id = 0,
-                                          bool exact_verify = false);
+                                          const PlanNode& node);
 
   /// An optimizer bound to this engine's catalog/models/detectors, with
   /// subplan execution enabled for data-induced predicates and the cost
@@ -279,6 +260,15 @@ class Engine {
   /// Shared optimize → execute path with tracing + telemetry around it.
   Result<TablePtr> RunTracked(QueryContext* ctx, const PlanPtr& plan,
                               bool optimize, const char* kind);
+  /// The execute tail every query entry point (RunTracked, EXPLAIN
+  /// ANALYZE) shares: runs `physical` (or reports its planning error)
+  /// under an "execute" span, surfaces a deadline-tripped cancel as
+  /// kDeadlineExceeded, and records the query via FinishQuery with the
+  /// wall `timer` has measured.
+  Result<TablePtr> ExecuteTracked(QueryContext* ctx,
+                                  const Result<PlanPtr>& physical,
+                                  const char* kind, const Timer& timer,
+                                  std::shared_ptr<QueryTrace> trace);
   /// The planning front door shared by Execute and EXPLAIN ANALYZE:
   /// plan-cache lookup (when enabled) with single-flight population,
   /// falling back to a full optimizer pass. `origin` (optional) receives
@@ -326,7 +316,6 @@ class Engine {
   std::unique_ptr<DeadlineReaper> reaper_;
   std::unique_ptr<PlanCache> plan_cache_;
   std::unique_ptr<KnobTuner> knob_tuner_;
-  std::atomic<std::uint64_t> index_adoptions_{0};
   std::atomic<std::uint64_t> next_query_id_{0};
 };
 

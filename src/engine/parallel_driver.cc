@@ -1,6 +1,6 @@
 #include "engine/parallel_driver.h"
 
-#include <mutex>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,28 +14,6 @@
 #include "exec/scan.h"
 
 namespace cre {
-
-namespace {
-
-std::mutex g_adoption_hook_mu;
-std::function<void(std::size_t)> g_adoption_hook;
-
-void CallAdoptionHook(std::size_t first_morsel) {
-  std::function<void(std::size_t)> hook;
-  {
-    std::lock_guard<std::mutex> lock(g_adoption_hook_mu);
-    hook = g_adoption_hook;
-  }
-  if (hook) hook(first_morsel);
-}
-
-}  // namespace
-
-void ParallelPlanDriver::SetAdoptionWaveHookForTesting(
-    std::function<void(std::size_t)> hook) {
-  std::lock_guard<std::mutex> lock(g_adoption_hook_mu);
-  g_adoption_hook = std::move(hook);
-}
 
 ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx,
                                        std::size_t morsel_rows)
@@ -86,19 +64,17 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
       // thread. Otherwise (background build in flight, or a version
       // mismatch against the snapshot) the brute-force fallback runs as
       // a scanning segment through the morsel scheduler — a cold query
-      // is served parallel and never blocks on the build. When the miss
-      // was specifically an in-flight background build, the fallback
-      // polls between morsel waves and adopts the index mid-query once
-      // the build lands.
-      bool build_in_flight = false;
-      CRE_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          engine_->TryLowerIndexSelect(ctx_, source, &build_in_flight));
+      // is served parallel and never blocks on the build.
+      CRE_ASSIGN_OR_RETURN(OperatorPtr op,
+                           engine_->TryLowerIndexSelect(ctx_, source));
       if (op != nullptr) {
         op = Instrument(&source, std::move(op));
         return ExecuteToTable(op.get());
       }
-      return RunFallbackWithAdoption(source, build_in_flight);
+      PipelineSegment fallback;
+      fallback.source = source.children[0].get();
+      fallback.ops.push_back(&source);
+      return RunSegment(fallback);
     }
     case PlanKind::kSemanticGroupBy: {
       // Materialize the input in parallel, then run the (order-sensitive)
@@ -245,112 +221,6 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
         return BuildChain(segment, slice, joins, selects);
       },
       options);
-}
-
-Result<TablePtr> ParallelPlanDriver::RunFallbackWithAdoption(
-    const PlanNode& source, bool build_in_flight) {
-  PipelineSegment fallback;
-  fallback.source = source.children[0].get();
-  fallback.ops.push_back(&source);
-  if (!build_in_flight) return RunSegment(fallback);
-
-  CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-  SpanScope span(this, "pipeline:adaptive-select");
-  CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*fallback.source));
-  const std::size_t n = base->num_rows();
-  const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
-  if (num_morsels <= 1) return RunSegment(fallback);
-
-  CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(fallback));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
-  options.on_morsel = [this](std::size_t rows, double seconds) {
-    engine_->knob_tuner()->ObserveMorsel(rows, seconds);
-  };
-
-  // Brute-force the input in waves of ~2 morsels per worker. Between
-  // waves (pipeline-segment boundaries — no per-morsel pipeline is in
-  // flight), re-probe the index: once the background build has landed,
-  // the remaining rows are served by one index range search restricted to
-  // row ids past the already-scanned prefix. Exact re-verification inside
-  // the index operator keeps the adopted tail byte-identical to the
-  // brute-force result, and prefix-then-tail concatenation preserves the
-  // global row order.
-  const std::size_t workers =
-      runner_ != nullptr ? std::max<std::size_t>(1, runner_->num_threads())
-                         : 1;
-  const std::size_t wave_morsels = std::max<std::size_t>(1, workers * 2);
-  const JoinStates no_joins;
-  TablePtr out;
-  std::size_t adopted_at_row = 0;
-  bool adopted = false;
-  std::size_t m = 0;
-  while (m < num_morsels) {
-    CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-    CallAdoptionHook(m);
-    if (m > 0) {
-      // The first wave never polls: the probe above just reported the
-      // build in flight.
-      bool still_building = false;
-      CRE_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          engine_->TryLowerIndexSelect(ctx_, source, &still_building,
-                                       /*min_row_id=*/m * morsel_rows_,
-                                       /*exact_verify=*/true));
-      if (op != nullptr) {
-        op = Instrument(&source, std::move(op));
-        CRE_ASSIGN_OR_RETURN(TablePtr tail, ExecuteToTable(op.get()));
-        if (out == nullptr) out = Table::Make(tail->schema());
-        CRE_RETURN_NOT_OK(out->AppendTable(*tail));
-        adopted = true;
-        adopted_at_row = m * morsel_rows_;
-        engine_->RecordIndexAdoption();
-        break;
-      }
-      if (!still_building) {
-        // The build failed or was evicted; no point polling again. Run
-        // the rest as one plain brute-force map.
-        TablePtr rest = base->Slice(m * morsel_rows_, n - m * morsel_rows_);
-        CRE_ASSIGN_OR_RETURN(
-            TablePtr part,
-            MorselParallelMap(
-                rest,
-                [&](std::size_t, const TablePtr& slice) {
-                  return BuildChain(fallback, slice, no_joins, selects);
-                },
-                options));
-        if (out == nullptr) out = Table::Make(part->schema());
-        CRE_RETURN_NOT_OK(out->AppendTable(*part));
-        break;
-      }
-    }
-    const std::size_t wave_end = std::min(num_morsels, m + wave_morsels);
-    TablePtr wave_base =
-        base->Slice(m * morsel_rows_, (wave_end - m) * morsel_rows_);
-    CRE_ASSIGN_OR_RETURN(
-        TablePtr part,
-        MorselParallelMap(
-            wave_base,
-            [&](std::size_t, const TablePtr& slice) {
-              return BuildChain(fallback, slice, no_joins, selects);
-            },
-            options));
-    if (out == nullptr) out = Table::Make(part->schema());
-    CRE_RETURN_NOT_OK(out->AppendTable(*part));
-    m = wave_end;
-  }
-  span.Annotate("adopted", adopted ? "true" : "false");
-  if (adopted) {
-    span.Annotate("adopted_at_row", std::to_string(adopted_at_row));
-    if (trace_ != nullptr && span_parent_ != nullptr) {
-      trace_->Annotate(span_parent_, "index_adoption",
-                       "row " + std::to_string(adopted_at_row) + "/" +
-                           std::to_string(n));
-    }
-  }
-  return out;
 }
 
 Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,

@@ -1,7 +1,6 @@
 #ifndef CRE_ENGINE_PARALLEL_DRIVER_H_
 #define CRE_ENGINE_PARALLEL_DRIVER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -70,14 +69,6 @@ class ParallelPlanDriver {
   /// Executes the plan tree and returns the materialized result.
   Result<TablePtr> Run(const PlanNode& root);
 
-  /// Test hook: called on the driver thread at the start of every
-  /// brute-force wave of an adoptive semantic select, with the index of
-  /// the first morsel in the wave. Tests use it to complete a background
-  /// index build at a chosen point so adoption triggers deterministically.
-  /// Pass nullptr to clear. Global across drivers; not for production.
-  static void SetAdoptionWaveHookForTesting(
-      std::function<void(std::size_t first_morsel)> hook);
-
  private:
   /// Shared build-side hash tables, one per kJoin node in a segment.
   using JoinStates =
@@ -89,14 +80,6 @@ class ParallelPlanDriver {
 
   Result<TablePtr> RunSegment(const PipelineSegment& segment);
   Result<TablePtr> MaterializeSource(const PlanNode& source);
-  /// Brute-force fallback for an index-backed semantic select whose
-  /// background build is in flight: runs morsel waves, polling between
-  /// waves whether the build completed; on completion the remaining rows
-  /// swap onto the index operator (restricted to row ids past the
-  /// brute-forced prefix, with exact re-verification so the output stays
-  /// byte-identical to an all-fallback run).
-  Result<TablePtr> RunFallbackWithAdoption(const PlanNode& source,
-                                           bool build_in_flight);
   Result<TablePtr> RunAggregate(const PlanNode& agg);
   /// Materializes the sort input (in parallel) and sorts it on the pool;
   /// `limit_hint` > 0 = top-k for a Limit parent.

@@ -18,6 +18,16 @@ double CostModel::EmbedCost(const std::string& model_name) const {
   return params_.embed;
 }
 
+bool CostModel::StrategyBuildable(SemanticJoinStrategy strategy,
+                                  const std::string& model_name) const {
+  if (strategy != SemanticJoinStrategy::kIvfPq || models_ == nullptr ||
+      !models_->Contains(model_name)) {
+    return true;
+  }
+  const auto m = static_cast<std::size_t>(params_.ivfpq_m);
+  return m > 0 && models_->Get(model_name).ValueOrDie()->dim() % m == 0;
+}
+
 double CostModel::SemanticIndexBuildCost(SemanticJoinStrategy strategy,
                                          double base_rows) const {
   const double dot = params_.vector_dim * params_.dot_per_dim;

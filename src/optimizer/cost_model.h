@@ -185,6 +185,12 @@ class CostModel {
   /// when registered, params().embed otherwise).
   double EmbedCost(const std::string& model_name) const;
 
+  /// False when an index of family `strategy` cannot be built over
+  /// `model_name`'s vectors: IVF-PQ needs the model dim to split evenly
+  /// into ivfpq_m subspaces. Unregistered models are assumed buildable.
+  bool StrategyBuildable(SemanticJoinStrategy strategy,
+                         const std::string& model_name) const;
+
   /// Grouped-aggregation cost: the cheaper of the two physical forms the
   /// parallel driver can run. The crossover (radix wins once the serial
   /// whole-map merge tail outweighs the per-row routing overhead) is what

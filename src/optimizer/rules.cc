@@ -267,6 +267,7 @@ PlanPtr RulePickSemanticJoinStrategy(PlanPtr plan, const CostModel& cost,
     double best = -1;
     IndexResidency best_residency = IndexResidency::kAbsent;
     for (const auto s : kAllStrategies) {
+      if (!cost.StrategyBuildable(s, plan->model_name)) continue;
       const IndexResidency res =
           (scan != nullptr && residency != nullptr &&
            s != SemanticJoinStrategy::kBruteForce)

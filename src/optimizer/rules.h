@@ -56,6 +56,8 @@ using IndexResidencyProbe = std::function<IndexResidency(
 /// (bare-scan build side — cold build amortized over the expected reuse
 /// horizon), and one-shot (full build cost, the pre-manager behavior).
 /// Requires cardinality annotations; skips nodes with strategy_pinned.
+/// Families that cannot build over the join's model are never picked
+/// (see CostModel::StrategyBuildable).
 PlanPtr RulePickSemanticJoinStrategy(
     PlanPtr plan, const CostModel& cost,
     const IndexResidencyProbe& residency = nullptr);

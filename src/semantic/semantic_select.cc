@@ -172,16 +172,13 @@ Result<TablePtr> SemanticMultiSelectOperator::Next() {
 SemanticIndexSelectOperator::SemanticIndexSelectOperator(
     TablePtr table, std::string column, std::string query,
     EmbeddingModelPtr model, float threshold,
-    std::shared_ptr<const VectorIndex> index, std::size_t min_row_id,
-    bool exact_verify)
+    std::shared_ptr<const VectorIndex> index)
     : table_(std::move(table)),
       column_(std::move(column)),
       query_(std::move(query)),
       model_(std::move(model)),
       threshold_(threshold),
-      index_(std::move(index)),
-      min_row_id_(min_row_id),
-      exact_verify_(exact_verify) {}
+      index_(std::move(index)) {}
 
 Status SemanticIndexSelectOperator::Open() {
   matches_.clear();
@@ -207,39 +204,11 @@ Status SemanticIndexSelectOperator::Open() {
   CRE_RETURN_NOT_OK(index_->RangeSearchChecked(query_vec.data(), model_->dim(),
                                                threshold_, &hits));
   matches_.reserve(hits.size());
-  for (const ScoredId& h : hits) {
-    if (h.id >= min_row_id_) matches_.push_back(h.id);
-  }
+  for (const ScoredId& h : hits) matches_.push_back(h.id);
   // Emit in base-table row order, exactly like the scanning select would.
   std::sort(matches_.begin(), matches_.end());
   matches_.erase(std::unique(matches_.begin(), matches_.end()),
                  matches_.end());
-  if (exact_verify_ && !matches_.empty()) {
-    // Re-score candidates exactly: gather their strings, embed each
-    // distinct one, and apply the same dot >= threshold test the
-    // scanning operator uses. Approximate index scores (quantized ADC
-    // distances, LSH collisions) then only prefilter; they can't keep a
-    // row the fallback would drop.
-    const std::size_t dim = model_->dim();
-    std::vector<std::string> words;
-    words.reserve(matches_.size());
-    const auto& strings = col->strings();
-    for (std::uint32_t id : matches_) words.push_back(strings[id]);
-    const DistinctBatch distinct = CollectDistinct(words);
-    std::vector<float> matrix(distinct.unique.size() * dim);
-    model_->EmbedBatch(distinct.unique, matrix.data());
-    const DotFn dot = GetDotKernel(BestKernelVariant());
-    std::vector<char> match(distinct.unique.size());
-    for (std::size_t u = 0; u < distinct.unique.size(); ++u) {
-      match[u] =
-          dot(query_vec.data(), matrix.data() + u * dim, dim) >= threshold_;
-    }
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < matches_.size(); ++i) {
-      if (match[distinct.row_to_unique[i]]) matches_[kept++] = matches_[i];
-    }
-    matches_.resize(kept);
-  }
   return Status::OK();
 }
 

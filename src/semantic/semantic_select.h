@@ -95,23 +95,12 @@ class SemanticMultiSelectOperator : public PhysicalOperator {
 /// optimizer chooses when the amortized index cost beats the scan
 /// (Sec. V / E6); it acts as a leaf over the catalog table, so the plan's
 /// child scan must be a bare (predicate-free, unprojected) table scan.
-///
-/// Mid-query adoption support: `min_row_id` restricts the operator to
-/// rows >= that id — the parallel driver swaps remaining morsels onto the
-/// index after a background build lands mid-query, and the already-
-/// scanned prefix must not be re-emitted. `exact_verify` re-scores every
-/// index candidate with the exact brute-force dot (embedding the row
-/// strings like the scanning operator does) so approximate probe scores
-/// (e.g. IVF-PQ's quantized distances) can only *narrow* the candidate
-/// set, never admit a row the scanning fallback would have rejected.
 class SemanticIndexSelectOperator : public PhysicalOperator {
  public:
   SemanticIndexSelectOperator(TablePtr table, std::string column,
                               std::string query, EmbeddingModelPtr model,
                               float threshold,
-                              std::shared_ptr<const VectorIndex> index,
-                              std::size_t min_row_id = 0,
-                              bool exact_verify = false);
+                              std::shared_ptr<const VectorIndex> index);
 
   const Schema& output_schema() const override { return table_->schema(); }
   Status Open() override;
@@ -129,8 +118,6 @@ class SemanticIndexSelectOperator : public PhysicalOperator {
   EmbeddingModelPtr model_;
   float threshold_;
   std::shared_ptr<const VectorIndex> index_;
-  std::size_t min_row_id_;
-  bool exact_verify_;
   /// Matching row ids in ascending order (same order a scan would emit).
   std::vector<std::uint32_t> matches_;
   std::size_t next_ = 0;

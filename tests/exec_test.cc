@@ -248,8 +248,12 @@ TEST(PipelineTest, ScanFilterProjectJoinAggregate) {
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
     const std::string label = out->GetValue(r, 0).AsString();
     const double qty = out->GetValue(r, 1).AsFloat64();
-    if (label == "coat") EXPECT_DOUBLE_EQ(qty, 7.0);
-    if (label == "boot") EXPECT_DOUBLE_EQ(qty, 1.0);
+    if (label == "coat") {
+      EXPECT_DOUBLE_EQ(qty, 7.0);
+    }
+    if (label == "boot") {
+      EXPECT_DOUBLE_EQ(qty, 1.0);
+    }
   }
 }
 

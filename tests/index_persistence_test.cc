@@ -900,6 +900,9 @@ TEST(IndexPersistenceEngineTest, RestartServesFirstSelectFromDisk) {
     pinned->strategy_pinned = true;
     auto r = engine.Execute(pinned);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // The persist write-through runs on the background runner; drain it
+    // before reading the counters it bumps.
+    engine.index_manager()->WaitForBuilds();
     EXPECT_EQ(engine.index_manager()->stats().builds, 1u);
     EXPECT_EQ(engine.index_manager()->stats().disk_writes, 1u);
   }
@@ -918,6 +921,7 @@ TEST(IndexPersistenceEngineTest, RestartServesFirstSelectFromDisk) {
 
   auto indexed = engine.Execute(select->Clone());
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  engine.index_manager()->WaitForBuilds();
   const auto stats = engine.index_manager()->stats();
   EXPECT_EQ(stats.builds, 0u)
       << "the first post-restart select must not rebuild";

@@ -400,6 +400,7 @@ TEST_F(ObsEngineTest, ExplainAnalyzeRendersMeasuredPlan) {
   EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos) << text;
   EXPECT_NE(text.find("[rows="), std::string::npos) << text;
   EXPECT_NE(text.find("wall="), std::string::npos);
+  EXPECT_NE(text.find("cpu="), std::string::npos);
   EXPECT_NE(text.find("dop="), std::string::npos);
   EXPECT_NE(text.find("scheduling:"), std::string::npos);
   EXPECT_NE(text.find("index residency:"), std::string::npos) << text;

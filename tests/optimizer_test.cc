@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/corpus.h"
 #include "datagen/vocabulary.h"
 #include "engine/engine.h"
 #include "optimizer/optimizer.h"
@@ -241,6 +242,47 @@ TEST_F(OptimizerTest, StrategyRuleRespectsPin) {
   optimized->strategy_pinned = false;
   optimized = RulePickSemanticJoinStrategy(optimized, cost);
   EXPECT_NE(optimized->strategy, SemanticJoinStrategy::kBruteForce);
+}
+
+// The default structured model's dim (100) does not split into the
+// default 8 PQ subspaces, so an IVF-PQ index over it cannot build. With a
+// long reuse horizon IVF-PQ costs cheapest for a 50k-row managed join;
+// the rule must skip it rather than pick a plan that fails with
+// InvalidArgument.
+TEST_F(OptimizerTest, StrategyRuleSkipsUnbuildableIvfPq) {
+  VocabularyOptions vo;
+  vo.num_groups = 2000;
+  vo.words_per_group = 4;
+  vo.num_singletons = 20000;
+  auto groups = GenerateVocabulary(vo);
+  SynonymStructuredModel::Options mo;
+  mo.subword_noise = false;
+  auto model = std::make_shared<SynonymStructuredModel>(groups, mo);
+  ASSERT_NE(model->dim() % 8, 0u);
+  CorpusGenerator gen(AllWords(groups), CorpusGenerator::Options{1.0, 0.0, 3});
+
+  EngineOptions eo;
+  eo.num_threads = 2;
+  eo.optimizer.index_reuse_horizon = 32;
+  Engine engine(eo);
+  engine.models().Put("m", model);
+  engine.catalog().Put("products",
+                       CorpusGenerator::ToTable(gen.Sample(50000), "name"));
+  engine.catalog().Put("labels",
+                       CorpusGenerator::ToTable(gen.Sample(256), "label"));
+
+  auto plan = PlanNode::SemanticJoin(PlanNode::Scan("products"),
+                                     PlanNode::Scan("labels"), "name",
+                                     "label", "m", 0.9f);
+  const PlanPtr optimized = engine.MakeOptimizer().Optimize(plan).ValueOrDie();
+  const PlanNode* join = optimized.get();
+  while (join->kind != PlanKind::kSemanticJoin) {
+    ASSERT_FALSE(join->children.empty());
+    join = join->children[0].get();
+  }
+  EXPECT_NE(join->strategy, SemanticJoinStrategy::kIvfPq);
+  auto result = engine.Execute(plan);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
 }
 
 TEST_F(OptimizerTest, PruneInsertsProjectAboveScan) {

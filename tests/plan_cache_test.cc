@@ -1,7 +1,6 @@
 // Self-tuning fast-path tests: the parameterized plan cache (hit/miss,
 // literal rebinding with byte-identical results, stamp and
 // index-residency invalidation, LRU bounds, single-flight population),
-// mid-query index adoption (byte-identity against the all-fallback run),
 // and the feedback knob tuner (fit formulas, hysteresis, clamps,
 // disabled baselines) plus the governor's footprint calibrator. The
 // concurrent storm test runs under TSan in CI like the other parallel
@@ -21,7 +20,6 @@
 #include "datagen/vocabulary.h"
 #include "embed/structured_model.h"
 #include "engine/engine.h"
-#include "engine/parallel_driver.h"
 #include "exec/footprint.h"
 #include "optimizer/knob_tuner.h"
 #include "optimizer/plan_cache.h"
@@ -402,55 +400,6 @@ TEST_F(PlanCacheTest, SingleFlightPopulation) {
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kWaiters));
   EXPECT_GE(s.single_flight_waits, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Mid-query index adoption
-// ---------------------------------------------------------------------------
-
-TEST_F(PlanCacheTest, MidQueryAdoptionIsByteIdenticalToFallback) {
-  EngineOptions eo;
-  eo.num_threads = kThreads;
-  eo.morsel_rows = kMorselRows;
-  eo.tuning.enabled = false;  // keep morsel/wave geometry fixed
-  eo.index.async_builds = true;
-  // Probe every IVF list: with exact verification on top, the index path
-  // admits exactly the rows the brute-force scan admits.
-  eo.index.ivf.num_centroids = 32;
-  eo.index.ivf.nprobe = 32;
-  auto engine = MakeEngine(eo);
-
-  auto make_plan = [&](SemanticJoinStrategy s) {
-    auto plan = PlanNode::SemanticSelect(PlanNode::Scan("big"), "word",
-                                         words_[0], "m", 0.85f);
-    plan->strategy = s;
-    plan->strategy_pinned = true;
-    return plan;
-  };
-
-  // Reference: the pure brute-force scan (never consults the manager).
-  auto ref = engine->ExecuteUnoptimized(
-      make_plan(SemanticJoinStrategy::kBruteForce));
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-  // Adoptive run: the cold index-backed select starts on the fallback
-  // while the background build runs; the hook completes the build right
-  // before the second wave's poll, so the remaining morsels swap onto
-  // the index operator mid-query.
-  ParallelPlanDriver::SetAdoptionWaveHookForTesting(
-      [&](std::size_t first_morsel) {
-        if (first_morsel > 0) engine->index_manager()->WaitForBuilds();
-      });
-  auto got = engine->ExecuteUnoptimized(make_plan(SemanticJoinStrategy::kIvf));
-  ParallelPlanDriver::SetAdoptionWaveHookForTesting(nullptr);
-
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_GE(engine->index_adoptions(), 1u);
-  EXPECT_EQ(OrderedRows(*ref.ValueUnsafe()), OrderedRows(*got.ValueUnsafe()));
-
-  // The adoption counter exports through metrics.
-  std::string prom = engine->metrics()->Snapshot().ToPrometheusText();
-  EXPECT_NE(prom.find("cre_index_adoptions_total"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
