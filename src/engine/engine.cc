@@ -272,6 +272,14 @@ OptimizerOptions Engine::EffectiveOptimizerOptions() const {
   return options;
 }
 
+CostParams Engine::IndexCostParams() const {
+  // IVF-PQ feasibility (CostModel::StrategyBuildable) must test the
+  // subspace count the managed build will actually use.
+  CostParams params;
+  params.ivfpq_m = static_cast<double>(options_.index.ivfpq.pq_m);
+  return params;
+}
+
 Optimizer Engine::MakeOptimizer() const {
   auto* self = const_cast<Engine*>(this);
   SubplanExecutor executor = [self](const PlanPtr& subplan) {
@@ -288,7 +296,8 @@ Optimizer Engine::MakeOptimizer() const {
     };
   }
   return Optimizer(&catalog_, &models_, &detectors_, options,
-                   std::move(executor), std::move(residency));
+                   std::move(executor), std::move(residency),
+                   IndexCostParams());
 }
 
 Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
@@ -312,7 +321,8 @@ Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
   // against the query's pinned snapshot, so planning and execution see
   // the same tables even under concurrent catalog writes.
   return Optimizer(&ctx->snapshot(), &models_, &detectors_, options,
-                   std::move(executor), std::move(residency));
+                   std::move(executor), std::move(residency),
+                   IndexCostParams());
 }
 
 std::string Engine::KnobSignature() const {
@@ -519,7 +529,8 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
                              Lower(ctx, *node.children[0]));
         children.push_back(std::move(child));
       }
-      return LowerSemanticSelectOver(node, std::move(children[0]), nullptr);
+      return LowerSemanticSelectOver(ctx, node, std::move(children[0]),
+                                     nullptr);
     }
     case PlanKind::kSemanticJoin: {
       CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
@@ -596,16 +607,21 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
 }
 
 Result<OperatorPtr> Engine::LowerSemanticSelectOver(
-    const PlanNode& node, OperatorPtr child, SharedQueryMatrix shared_query) {
+    QueryContext* ctx, const PlanNode& node, OperatorPtr child,
+    SemanticSelectStatePtr state) {
   CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model, models_.Get(node.model_name));
+  if (state == nullptr) {
+    state = MakeSemanticSelectState(*model, node.SelectQueries(),
+                                    ctx->budget_handle());
+  }
   if (!node.queries.empty()) {
     return OperatorPtr(std::make_unique<SemanticMultiSelectOperator>(
         std::move(child), node.column, node.queries, std::move(model),
-        node.threshold, std::move(shared_query)));
+        node.threshold, std::move(state)));
   }
   return OperatorPtr(std::make_unique<SemanticSelectOperator>(
       std::move(child), node.column, node.query, std::move(model),
-      node.threshold, std::move(shared_query)));
+      node.threshold, std::move(state)));
 }
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {

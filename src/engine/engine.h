@@ -211,14 +211,17 @@ class Engine {
   Result<OperatorPtr> LowerNodeOver(QueryContext* ctx, const PlanNode& node,
                                     std::vector<OperatorPtr> children);
 
-  /// Lowers a scanning kSemanticSelect over `child`, optionally adopting
-  /// a pre-embedded query matrix. The parallel driver embeds each select
-  /// node's query constant(s) once per query and passes the shared matrix
-  /// to every per-morsel instance (instead of re-embedding at each
-  /// morsel-chain Open).
-  Result<OperatorPtr> LowerSemanticSelectOver(const PlanNode& node,
+  /// Lowers a scanning kSemanticSelect over `child` with its per-query
+  /// select state (embedded query constant(s) plus the match memo). The
+  /// parallel driver builds one state per select node and hands it to
+  /// every per-morsel instance, so the query embeds once and each
+  /// distinct column value embeds at most once per worker. A null
+  /// `state` (the serial path) gives the operator a private one charging
+  /// ctx's budget.
+  Result<OperatorPtr> LowerSemanticSelectOver(QueryContext* ctx,
+                                              const PlanNode& node,
                                               OperatorPtr child,
-                                              SharedQueryMatrix shared_query);
+                                              SemanticSelectStatePtr state);
 
   /// Resolves an index-backed kSemanticSelect against ctx's snapshot and
   /// the (possibly asynchronous) IndexManager. Returns the index-probing
@@ -291,6 +294,9 @@ class Engine {
   /// build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
   /// so EXPLAIN and Execute agree on plans).
   OptimizerOptions EffectiveOptimizerOptions() const;
+  /// Cost constants mirroring the managed index builds' configuration
+  /// (IndexManagerOptions), the base every engine optimizer costs with.
+  CostParams IndexCostParams() const;
   /// Executes a (possibly optimized) plan through the serial pull loop or
   /// the morsel-driven parallel driver, depending on pool size.
   Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan);

@@ -135,28 +135,21 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
     if (op->kind != PlanKind::kSemanticSelect) continue;
     CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
                          engine_->models().Get(op->model_name));
+    const std::vector<std::string> queries = op->SelectQueries();
     SpanScope span(this, "embed:queries");
     span.Annotate("model", op->model_name);
-    span.Annotate("queries",
-                  std::to_string(op->queries.empty() ? 1 : op->queries.size()));
+    span.Annotate("queries", std::to_string(queries.size()));
     CRE_RETURN_NOT_OK(CRE_INJECT_FAULT("embed.query"));
-    // The shared matrix outlives this scope (every per-morsel operator
-    // instance holds it), so charge without a scoped release; the query
-    // budget returns the remainder when the query finishes.
+    // The shared state outlives this scope (every per-morsel operator
+    // instance holds it), so charge the query matrix without a scoped
+    // release; the query budget returns the remainder when the query
+    // finishes. The memo charges its own entries as it grows.
     if (ctx_->budget() != nullptr) {
-      const std::size_t bytes = (op->queries.empty() ? 1 : op->queries.size()) *
-                                model->dim() * sizeof(float);
+      const std::size_t bytes = queries.size() * model->dim() * sizeof(float);
       CRE_RETURN_NOT_OK(ctx_->budget()->Charge(bytes, "query embed matrix"));
     }
-    auto matrix = std::make_shared<std::vector<float>>();
-    if (op->queries.empty()) {
-      matrix->resize(model->dim());
-      model->Embed(op->query, matrix->data());
-    } else {
-      matrix->resize(op->queries.size() * model->dim());
-      model->EmbedBatch(op->queries, matrix->data());
-    }
-    selects.emplace(op, std::move(matrix));
+    selects.emplace(op, MakeSemanticSelectState(*model, queries,
+                                                ctx_->budget_handle()));
   }
   return selects;
 }
@@ -180,7 +173,7 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
           std::move(cur), joins.at(op), op->left_key, op->right_key);
     } else if (op->kind == PlanKind::kSemanticSelect) {
       CRE_ASSIGN_OR_RETURN(cur, engine_->LowerSemanticSelectOver(
-                                    *op, std::move(cur), selects.at(op)));
+                                    ctx_, *op, std::move(cur), selects.at(op)));
     } else {
       std::vector<OperatorPtr> children;
       children.push_back(std::move(cur));

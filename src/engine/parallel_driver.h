@@ -73,10 +73,11 @@ class ParallelPlanDriver {
   /// Shared build-side hash tables, one per kJoin node in a segment.
   using JoinStates =
       std::map<const PlanNode*, std::shared_ptr<HashJoinTable>>;
-  /// Pre-embedded query matrices, one per scanning kSemanticSelect node in
-  /// a segment: the query constant(s) embed once per query instead of
-  /// once per morsel-chain Open.
-  using SelectStates = std::map<const PlanNode*, SharedQueryMatrix>;
+  /// One select state per scanning kSemanticSelect node in a segment,
+  /// shared by every per-morsel instance: the query constant(s) embed
+  /// once per query, and the match memo lets each distinct column value
+  /// embed once per worker instead of once per morsel.
+  using SelectStates = std::map<const PlanNode*, SemanticSelectStatePtr>;
 
   Result<TablePtr> RunSegment(const PipelineSegment& segment);
   Result<TablePtr> MaterializeSource(const PlanNode& source);

@@ -162,15 +162,17 @@ Result<TablePtr> GroupedAggregationState::Finalize() {
   for (const auto& [key, g] : groups_) {
     std::vector<Value> row = g.key_values;
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      // emplace_back builds each Value in place: moving a temporary
+      // Value trips GCC 12's -Wmaybe-uninitialized on the variant.
       switch (aggs_[a].kind) {
         case AggKind::kCount:
-          row.push_back(Value(g.counts[a]));
+          row.emplace_back(g.counts[a]);
           break;
         case AggKind::kAvg:
-          row.push_back(Value(g.counts[a] ? g.acc[a] / g.counts[a] : 0.0));
+          row.emplace_back(g.counts[a] ? g.acc[a] / g.counts[a] : 0.0);
           break;
         default:
-          row.push_back(Value(g.acc[a]));
+          row.emplace_back(g.acc[a]);
           break;
       }
     }

@@ -40,9 +40,8 @@ void KnobTuner::ObserveMorsel(std::size_t rows, double seconds) {
   if (morsel_row_seconds_ <= 0) return;
   const double fit = options_.morsel_target_seconds / morsel_row_seconds_;
   const std::size_t candidate = std::min(
-      options_.max_morsel_rows,
-      std::max(options_.min_morsel_rows,
-               static_cast<std::size_t>(fit)));
+      baselines_.morsel_rows,
+      std::max(options_.min_morsel_rows, static_cast<std::size_t>(fit)));
   PublishLocked(&tuned_morsel_rows_,
                 tuned_morsel_rows_.load(std::memory_order_relaxed),
                 candidate);

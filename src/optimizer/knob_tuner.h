@@ -20,8 +20,9 @@ struct KnobTunerOptions {
   /// short enough that one morsel never delays a high-priority query by
   /// more than ~a couple of ms (scheduler preemption granularity).
   double morsel_target_seconds = 0.002;
+  /// Floor for shrunk morsels. There is no separate ceiling: morsels
+  /// never grow past the configured baseline (KnobBaselines::morsel_rows).
   std::size_t min_morsel_rows = 1024;
-  std::size_t max_morsel_rows = 256 * 1024;
   /// Clamps for the refit radix-aggregation crossover.
   std::size_t min_radix_groups = 256;
   std::size_t max_radix_groups = 1 << 20;
@@ -56,8 +57,10 @@ struct KnobBaselines {
 /// the parallel driver:
 ///
 ///  - morsel_rows: rows/morsel = morsel_target_seconds / observed
-///    seconds-per-row, so task granularity tracks the workload's actual
-///    per-row cost instead of a fixed 8k;
+///    seconds-per-row, clamped to [min_morsel_rows, baseline], so slow
+///    rows shrink tasks toward the target length. Cheap rows never grow
+///    a morsel past the configured size: every morsel is a copied table
+///    slice, and larger slices buy memory, not speed;
 ///  - radix_agg_min_groups: the hash-vs-radix crossover where the hash
 ///    scheme's serial merge (groups x observed merge-cost/group) starts
 ///    losing to the radix scheme's routing overhead (rows x observed

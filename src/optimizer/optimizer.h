@@ -53,15 +53,20 @@ struct OptimizerOptions {
 /// selection -> pruning -> final annotation.
 class Optimizer {
  public:
+  /// `base_params` carries the cost constants the options do not cover
+  /// (the engine seeds the index-build parameters it actually uses, e.g.
+  /// CostParams::ivfpq_m); the options override parallelism, reuse
+  /// horizon and build discount on top of it.
   Optimizer(const Catalog* catalog, const ModelRegistry* models,
             const DetectorRegistry* detectors, OptimizerOptions options = {},
             SubplanExecutor subplan_executor = nullptr,
-            IndexResidencyProbe index_residency = nullptr)
+            IndexResidencyProbe index_residency = nullptr,
+            CostParams base_params = {})
       : catalog_(catalog),
         models_(models),
         options_(options),
         estimator_(catalog, models, detectors),
-        cost_(models, ParamsFor(options)),
+        cost_(models, ParamsFor(options, base_params)),
         subplan_executor_(std::move(subplan_executor)),
         index_residency_(std::move(index_residency)) {}
 
@@ -79,8 +84,8 @@ class Optimizer {
   const OptimizerOptions& options() const { return options_; }
 
  private:
-  static CostParams ParamsFor(const OptimizerOptions& options) {
-    CostParams params;
+  static CostParams ParamsFor(const OptimizerOptions& options,
+                              CostParams params) {
     params.parallelism = static_cast<double>(
         std::max<std::size_t>(1, options.degree_of_parallelism));
     params.index_reuse_horizon = std::max(1.0, options.index_reuse_horizon);

@@ -313,6 +313,7 @@ PlanPtr RulePickSemanticSelectStrategy(PlanPtr plan, const CostModel& cost,
   const double base = std::max(0.0, plan->children[0]->est_rows);
   double best = -1;
   for (const auto s : kAllStrategies) {
+    if (!cost.StrategyBuildable(s, plan->model_name)) continue;
     const IndexResidency res =
         s != SemanticJoinStrategy::kBruteForce
             ? residency(plan->children[0]->table_name, plan->column,

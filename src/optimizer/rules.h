@@ -67,7 +67,8 @@ PlanPtr RulePickSemanticJoinStrategy(
 /// (amortized) is cheaper than the embed-every-row scan, flips the node's
 /// strategy to the winning index family. Only fires when `residency` is
 /// non-null (an engine with an IndexManager), since the physical operator
-/// needs the manager to serve the index.
+/// needs the manager to serve the index. Like rule 4, it never picks a
+/// family that cannot build over the select's model.
 PlanPtr RulePickSemanticSelectStrategy(PlanPtr plan, const CostModel& cost,
                                        const IndexResidencyProbe& residency);
 

@@ -137,6 +137,12 @@ class PlanNode {
            children[0]->predicate == nullptr;
   }
 
+  /// For kSemanticSelect: the query strings it matches against (`queries`
+  /// for the DIP form, else the single `query`).
+  std::vector<std::string> SelectQueries() const {
+    return queries.empty() ? std::vector<std::string>{query} : queries;
+  }
+
   /// For kSemanticJoin: the bare catalog scan beneath the build (right)
   /// side if index reuse through the IndexManager is possible — the right
   /// child is either a bare scan or an identity projection of one (column

@@ -12,7 +12,8 @@
 //  - ResourceGovernor: hash-join and sort breaches return exactly
 //    kResourceExhausted with the engine healthy after; an index build
 //    breach degrades the semantic select to the scanning fallback with
-//    identical results.
+//    identical results; a select whose match memo breaches a tight
+//    per-query budget stops memoizing and still answers identically.
 //  - Bounded admission: per-class shed policy (high never, normal at the
 //    limit, background at half), engine-level shedding under overload
 //    with high-priority queries never shed.
@@ -346,6 +347,61 @@ TEST(GovernorTest, IndexBuildBreachDegradesToScanningFallback) {
   EXPECT_EQ(result.ValueOrDie()->num_rows(),
             expect.ValueOrDie()->num_rows());
   EXPECT_GE(engine.index_manager()->stats().build_failures, 1u);
+}
+
+/// Counts every string sent through the wrapped model.
+class CountingModel : public EmbeddingModel {
+ public:
+  explicit CountingModel(EmbeddingModelPtr inner) : inner_(std::move(inner)) {}
+  std::size_t dim() const override { return inner_->dim(); }
+  std::string name() const override { return inner_->name(); }
+  void Embed(std::string_view text, float* out) const override {
+    strings_.fetch_add(1, std::memory_order_relaxed);
+    inner_->Embed(text, out);
+  }
+  void EmbedBatch(const std::vector<std::string>& texts,
+                  float* out) const override {
+    strings_.fetch_add(texts.size(), std::memory_order_relaxed);
+    inner_->EmbedBatch(texts, out);
+  }
+  std::size_t TakeCount() { return strings_.exchange(0); }
+
+ private:
+  EmbeddingModelPtr inner_;
+  mutable std::atomic<std::size_t> strings_{0};
+};
+
+TEST(GovernorTest, SelectMatchMemoBreachKeepsAnsweringWithMoreEmbedding) {
+  auto model = std::make_shared<CountingModel>(
+      std::make_shared<HashEmbeddingModel>(HashEmbeddingModel::Options{64}));
+  EngineOptions eo;
+  eo.num_threads = 2;
+  eo.morsel_rows = 1024;
+  Engine engine(eo);
+  engine.models().Put("m", model);
+  engine.catalog().Put("t", MakeWordTable(20000, "w_", 2000));
+  QueryBuilder qb(&engine);
+  qb.Scan("t").SemanticSelect("word", "w_7", "m", 0.7f);
+
+  auto free_run = engine.Execute(qb.plan(), QueryOptions{});
+  ASSERT_TRUE(free_run.ok()) << free_run.status().ToString();
+  const std::size_t free_strings = model->TakeCount();
+
+  // The query matrix fits, the memo's first batch of entries does not:
+  // the memo stops growing and every morsel embeds its own strings.
+  QueryOptions tight;
+  tight.memory_budget_bytes = 4096;
+  auto governed = engine.Execute(qb.plan(), tight);
+  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
+  EXPECT_GT(model->TakeCount(), free_strings);
+  const TablePtr a = free_run.ValueOrDie();
+  const TablePtr b = governed.ValueOrDie();
+  ASSERT_EQ(a->num_rows(), b->num_rows());
+  EXPECT_GT(a->num_rows(), 0u);
+  for (std::size_t r = 0; r < a->num_rows(); ++r) {
+    ASSERT_EQ(a->GetValue(r, 1).AsFloat64(), b->GetValue(r, 1).AsFloat64());
+  }
+  EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
 }
 
 // ---- bounded admission ----

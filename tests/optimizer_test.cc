@@ -4,6 +4,7 @@
 
 #include "datagen/corpus.h"
 #include "datagen/vocabulary.h"
+#include "embed/hash_embedding_model.h"
 #include "engine/engine.h"
 #include "optimizer/optimizer.h"
 #include "plan/schema_inference.h"
@@ -283,6 +284,38 @@ TEST_F(OptimizerTest, StrategyRuleSkipsUnbuildableIvfPq) {
   EXPECT_NE(join->strategy, SemanticJoinStrategy::kIvfPq);
   auto result = engine.Execute(plan);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
+}
+
+// The select rule honours the same feasibility check, and the check reads
+// the engine's configured IVF-PQ subspace count. A residency probe that
+// reports only IVF-PQ resident makes it the cheapest family, so the rule
+// picks it exactly when the dim-100 model splits into pq_m subspaces.
+SemanticJoinStrategy PickedSelectStrategy(std::size_t pq_m) {
+  EngineOptions eo;
+  eo.num_threads = 1;
+  eo.index.ivfpq.pq_m = pq_m;
+  Engine engine(eo);
+  engine.models().Put("m", std::make_shared<HashEmbeddingModel>(
+                               HashEmbeddingModel::Options{100}));
+  const IndexResidencyProbe only_ivfpq =
+      [](const std::string&, const std::string&, const std::string&,
+         SemanticJoinStrategy s) {
+        return s == SemanticJoinStrategy::kIvfPq ? IndexResidency::kResident
+                                                 : IndexResidency::kAbsent;
+      };
+  PlanPtr plan = PlanNode::SemanticSelect(PlanNode::Scan("docs"), "word",
+                                          "jacket", "m", 0.9f);
+  plan->children[0]->est_rows = 200000;
+  const Optimizer optimizer = engine.MakeOptimizer();
+  return RulePickSemanticSelectStrategy(plan, optimizer.cost_model(),
+                                        only_ivfpq)
+      ->strategy;
+}
+
+TEST_F(OptimizerTest, SelectStrategyRuleSkipsUnbuildableIvfPq) {
+  EXPECT_NE(PickedSelectStrategy(8), SemanticJoinStrategy::kIvfPq);
+  EXPECT_EQ(PickedSelectStrategy(4), SemanticJoinStrategy::kIvfPq);
+  EXPECT_EQ(PickedSelectStrategy(10), SemanticJoinStrategy::kIvfPq);
 }
 
 TEST_F(OptimizerTest, PruneInsertsProjectAboveScan) {

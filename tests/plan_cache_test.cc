@@ -423,13 +423,31 @@ TEST_F(PlanCacheTest, TunerFitsMorselRowsToTargetTaskLength) {
   EXPECT_EQ(tuner.morsel_rows(), 2000u);
   EXPECT_GE(tuner.snapshot().refits, 1u);
 
-  // Very cheap rows clamp at the max...
+  // Very cheap rows clamp at the configured baseline (morsels never grow
+  // past it)...
   tuner.ObserveMorsel(1000000, 1e-7);
-  EXPECT_EQ(tuner.morsel_rows(), UnitTunerOptions().max_morsel_rows);
+  EXPECT_EQ(tuner.morsel_rows(), KnobBaselines{}.morsel_rows);
 
   // ...and very expensive rows clamp at the min.
   tuner.ObserveMorsel(10, 1.0);
   EXPECT_EQ(tuner.morsel_rows(), UnitTunerOptions().min_morsel_rows);
+}
+
+TEST_F(PlanCacheTest, TunerNeverGrowsMorselsPastTheBaseline) {
+  KnobBaselines baselines;
+  baselines.morsel_rows = 4096;
+  KnobTuner tuner(UnitTunerOptions(), baselines);
+
+  // Rows cheap enough to fit anywhere from 8k to millions per 2ms task.
+  for (const double row_seconds : {2.5e-7, 1e-8, 1e-9, 1e-7, 1e-10}) {
+    tuner.ObserveMorsel(100000, 100000 * row_seconds);
+    EXPECT_LE(tuner.morsel_rows(), 4096u) << row_seconds;
+  }
+  EXPECT_EQ(tuner.morsel_rows(), 4096u);
+
+  // Shrinking below the baseline still works: 1us/row fits 2000 rows.
+  tuner.ObserveMorsel(1000, 0.001);
+  EXPECT_EQ(tuner.morsel_rows(), 2000u);
 }
 
 TEST_F(PlanCacheTest, TunerHysteresisSuppressesSmallMoves) {
