@@ -167,7 +167,8 @@ class Engine {
     std::shared_ptr<StatsCollector> stats;
     double total_seconds = 0;
     /// Serving-layer counters for this query: queue wait, admission
-    /// latency, task dispatches (all zero on the serial pull path).
+    /// latency, task dispatches (zero for work a single-worker engine
+    /// runs inline on the driver thread).
     SchedulingCounters scheduling;
   };
 
@@ -198,16 +199,13 @@ class Engine {
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
                                      const QueryOptions& query);
 
-  /// Lowers a logical node to a physical operator tree (serial form:
-  /// every child lowered recursively) against `ctx`'s pinned snapshot.
+  /// Constructs the physical operator the parallel driver runs for a
+  /// DetectScan, Filter, Project, SemanticJoin or SemanticGroupBy `node`
+  /// over already-lowered children (for leaves pass an empty vector);
+  /// the driver substitutes materialized tables for breaker inputs.
   /// Operators may capture ctx's task runner; the context must outlive
-  /// the returned tree.
-  Result<OperatorPtr> Lower(QueryContext* ctx, const PlanNode& node);
-
-  /// Constructs the physical operator for `node` over already-lowered
-  /// children (for leaves pass an empty vector). This is the shared
-  /// lowering core used both by Lower and by the parallel driver, which
-  /// substitutes materialized tables / shared join states for children.
+  /// the returned operator. Every other kind is executed by the driver
+  /// itself and returns kInternal here.
   Result<OperatorPtr> LowerNodeOver(QueryContext* ctx, const PlanNode& node,
                                     std::vector<OperatorPtr> children);
 
@@ -215,11 +213,8 @@ class Engine {
   /// select state (embedded query constant(s) plus the match memo). The
   /// parallel driver builds one state per select node and hands it to
   /// every per-morsel instance, so the query embeds once and each
-  /// distinct column value embeds at most once per worker. A null
-  /// `state` (the serial path) gives the operator a private one charging
-  /// ctx's budget.
-  Result<OperatorPtr> LowerSemanticSelectOver(QueryContext* ctx,
-                                              const PlanNode& node,
+  /// distinct column value embeds at most once per worker.
+  Result<OperatorPtr> LowerSemanticSelectOver(const PlanNode& node,
                                               OperatorPtr child,
                                               SemanticSelectStatePtr state);
 
@@ -241,7 +236,6 @@ class Engine {
   Optimizer MakeOptimizer() const;
 
  private:
-  Result<OperatorPtr> LowerImpl(QueryContext* ctx, const PlanNode& node);
   /// Admits one query: pins the catalog snapshot, joins the scheduler at
   /// `query.priority` under the bounded-admission policy (may shed with
   /// kResourceExhausted), arms the deadline token, and attaches the
@@ -297,8 +291,9 @@ class Engine {
   /// Cost constants mirroring the managed index builds' configuration
   /// (IndexManagerOptions), the base every engine optimizer costs with.
   CostParams IndexCostParams() const;
-  /// Executes a (possibly optimized) plan through the serial pull loop or
-  /// the morsel-driven parallel driver, depending on pool size.
+  /// Executes a (possibly optimized) plan through the morsel-driven
+  /// parallel driver; with one worker thread it runs inline on the
+  /// calling thread.
   Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan);
 
   EngineOptions options_;

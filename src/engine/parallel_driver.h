@@ -60,7 +60,9 @@ namespace cre {
 ///
 /// All scheduling happens on the driver (caller) thread; worker tasks
 /// never block on the pool themselves, which keeps the fixed-size pool
-/// deadlock-free.
+/// deadlock-free. The driver is the engine's only executor: with a
+/// single-worker runner every morsel map, sort and aggregate runs inline
+/// on the driver thread, with the same operators and budget charges.
 class ParallelPlanDriver {
  public:
   ParallelPlanDriver(Engine* engine, QueryContext* ctx,

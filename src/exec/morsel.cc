@@ -1,12 +1,43 @@
 #include "exec/morsel.h"
 
 #include <atomic>
+#include <limits>
 #include <mutex>
 #include <vector>
 
 #include "core/timer.h"
 
 namespace cre {
+
+namespace {
+
+/// Drives `pipeline` until end-of-stream or `cap` output rows, slicing the
+/// final batch so the result never exceeds the budget. Polls `cancel`
+/// between batches, so a single-worker run (one pipeline over the whole
+/// input) still stops promptly.
+Result<TablePtr> RunPipeline(PhysicalOperator* pipeline, std::size_t cap,
+                             const CancelFlag* cancel) {
+  CRE_RETURN_NOT_OK(pipeline->Open());
+  auto out = Table::Make(pipeline->output_schema());
+  while (out->num_rows() < cap) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("query cancelled mid-pipeline");
+    }
+    CRE_ASSIGN_OR_RETURN(TablePtr batch, pipeline->Next());
+    if (batch == nullptr) break;
+    const std::size_t remaining = cap - out->num_rows();
+    if (batch->num_rows() > remaining) {
+      CRE_RETURN_NOT_OK(out->AppendTable(*batch->Slice(0, remaining)));
+      break;
+    }
+    CRE_RETURN_NOT_OK(out->AppendTable(*batch));
+  }
+  return out;
+}
+
+constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
+
+}  // namespace
 
 Result<TablePtr> MorselParallelMap(const TablePtr& table,
                                    const MorselPipelineBuilder& build,
@@ -22,7 +53,7 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
     }
     Timer timer;
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
-    Result<TablePtr> out = ExecuteToTable(pipeline.get());
+    Result<TablePtr> out = RunPipeline(pipeline.get(), kNoCap, options.cancel);
     if (out.ok() && options.on_morsel && n > 0) {
       options.on_morsel(n, timer.Seconds());
     }
@@ -46,7 +77,7 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
           const std::size_t slice_rows = slice->num_rows();
           results[m] = [&]() -> Result<TablePtr> {
             CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(m, slice));
-            return ExecuteToTable(pipeline.get());
+            return RunPipeline(pipeline.get(), kNoCap, options.cancel);
           }();
           if (results[m].ok() && options.on_morsel && slice_rows > 0) {
             options.on_morsel(slice_rows, timer.Seconds());
@@ -67,29 +98,6 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
   }
   return out;
 }
-
-namespace {
-
-/// Drives `pipeline` until end-of-stream or `cap` output rows, slicing the
-/// final batch so the result never exceeds the budget.
-Result<TablePtr> RunPipelineCapped(PhysicalOperator* pipeline,
-                                   std::size_t cap) {
-  CRE_RETURN_NOT_OK(pipeline->Open());
-  auto out = Table::Make(pipeline->output_schema());
-  while (out->num_rows() < cap) {
-    CRE_ASSIGN_OR_RETURN(TablePtr batch, pipeline->Next());
-    if (batch == nullptr) break;
-    const std::size_t remaining = cap - out->num_rows();
-    if (batch->num_rows() > remaining) {
-      CRE_RETURN_NOT_OK(out->AppendTable(*batch->Slice(0, remaining)));
-      break;
-    }
-    CRE_RETURN_NOT_OK(out->AppendTable(*batch));
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
                                           const MorselPipelineBuilder& build,
@@ -119,7 +127,7 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
     // Serial pull with early exit — the classic LIMIT loop.
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
     if (stats != nullptr) stats->morsels_run = num_morsels;
-    return RunPipelineCapped(pipeline.get(), limit);
+    return RunPipeline(pipeline.get(), limit, options.cancel);
   }
 
   std::vector<Result<TablePtr>> results(
@@ -172,7 +180,7 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
           results[m] = [&]() -> Result<TablePtr> {
             CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline,
                                  build(m, table->Slice(m * morsel, morsel)));
-            return RunPipelineCapped(pipeline.get(), cap);
+            return RunPipeline(pipeline.get(), cap, options.cancel);
           }();
         }
         const std::size_t produced =

@@ -21,9 +21,9 @@ namespace cre {
 struct MorselOptions {
   std::size_t morsel_rows = 8 * 1024;
   TaskRunner* pool = nullptr;  ///< nullptr = run serially
-  /// Cooperative cancellation: polled before each morsel pipeline runs;
-  /// once set, remaining morsels resolve to Status::Cancelled and the
-  /// map returns it. nullptr = not cancellable.
+  /// Cooperative cancellation: polled before each morsel pipeline runs
+  /// and between its batches; once set, remaining morsels resolve to
+  /// Status::Cancelled and the map returns it. nullptr = not cancellable.
   const CancelFlag* cancel = nullptr;
   /// Observation hook: called once per successfully completed morsel
   /// pipeline with its input rows and wall seconds (the engine feeds the

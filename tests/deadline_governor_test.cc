@@ -6,11 +6,13 @@
 //    finished first, pushed-out deadlines are re-checked.
 //  - Engine deadlines end to end: pre-expired deadlines fail fast with
 //    kDeadlineExceeded, the engine default timeout applies when the query
-//    sets none, a deadline mid detect-scan and mid local index build
-//    unwinds cleanly, and the engine serves correct queries afterwards.
+//    sets none, a deadline mid detect-scan, mid local index build and
+//    mid-pipeline on a single-worker engine unwinds cleanly, and the
+//    engine serves correct queries afterwards.
 //  - Cancellation mid detect-scan (the per-image poll inside shards).
-//  - ResourceGovernor: hash-join and sort breaches return exactly
-//    kResourceExhausted with the engine healthy after; an index build
+//  - ResourceGovernor: hash-join, aggregation-state and sort breaches
+//    return exactly kResourceExhausted (hash join and aggregation at dop
+//    1 as well as dop 2) with the engine healthy after; an index build
 //    breach degrades the semantic select to the scanning fallback with
 //    identical results; a select whose match memo breaches a tight
 //    per-query budget stops memoizing and still answers identically.
@@ -256,33 +258,111 @@ TEST(EngineDeadlineTest, DeadlineExpiresMidLocalIndexBuild) {
       << result.status().ToString();
 }
 
+/// Sleeps on every embed batch: a scanning select slow enough per batch
+/// for a deadline to land mid-pipeline.
+class SlowModel : public EmbeddingModel {
+ public:
+  explicit SlowModel(EmbeddingModelPtr inner) : inner_(std::move(inner)) {}
+  std::size_t dim() const override { return inner_->dim(); }
+  std::string name() const override { return inner_->name(); }
+  void Embed(std::string_view text, float* out) const override {
+    inner_->Embed(text, out);
+  }
+  void EmbedBatch(const std::vector<std::string>& texts,
+                  float* out) const override {
+    SleepMs(2);
+    inner_->EmbedBatch(texts, out);
+  }
+
+ private:
+  EmbeddingModelPtr inner_;
+};
+
+TEST(EngineDeadlineTest, DeadlineExpiresMidPipelineAtDopOne) {
+  // One worker runs the whole scan as a single inline pipeline; the
+  // cancellation flag is still polled between its batches.
+  EngineOptions eo;
+  eo.num_threads = 1;
+  eo.morsel_rows = 64;
+  Engine engine(eo);
+  engine.models().Put("m", std::make_shared<SlowModel>(
+                               std::make_shared<HashEmbeddingModel>(
+                                   HashEmbeddingModel::Options{64})));
+  // 4000 distinct words in 64-row batches: ~60 embed batches at >= 2 ms.
+  engine.catalog().Put("t", MakeWordTable(4000, "w_"));
+  QueryBuilder qb(&engine);
+  qb.Scan("t").SemanticSelect("word", "w_7", "m", /*threshold=*/-1.0f);
+  QueryOptions q;
+  q.timeout_seconds = 0.03;
+  auto result = engine.Execute(qb.plan(), q);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsDeadlineExceeded())
+      << result.status().ToString();
+
+  auto full = engine.Execute(qb.plan(), QueryOptions{});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full.ValueOrDie()->num_rows(), 4000u);
+}
+
 // ---- resource governor ----
 
 TEST(GovernorTest, HashJoinBreachReturnsResourceExhausted) {
-  EngineOptions eo;
-  eo.num_threads = 2;
-  eo.governor.engine_memory_bytes = 4096;
-  Engine engine(eo);
-  engine.catalog().Put("left", MakeWordTable(5000, "w_", 100));
-  engine.catalog().Put("right", MakeWordTable(5000, "w_", 100));
+  // Every dop builds the join side through the budgeted HashJoinTable.
+  for (const std::size_t threads : {1, 2}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    EngineOptions eo;
+    eo.num_threads = threads;
+    eo.governor.engine_memory_bytes = 4096;
+    Engine engine(eo);
+    engine.catalog().Put("left", MakeWordTable(5000, "w_", 100));
+    engine.catalog().Put("right", MakeWordTable(5000, "w_", 100));
 
-  QueryBuilder qb(&engine);
-  qb.Scan("left").JoinWith(QueryBuilder(&engine).Scan("right"), "word",
-                           "word");
-  auto result = engine.Execute(qb.plan(), QueryOptions{});
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsResourceExhausted())
-      << result.status().ToString();
-  EXPECT_GE(engine.governor()->breaches(), 1u);
+    QueryBuilder qb(&engine);
+    qb.Scan("left").JoinWith(QueryBuilder(&engine).Scan("right"), "word",
+                             "word");
+    auto result = engine.Execute(qb.plan(), QueryOptions{});
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsResourceExhausted())
+        << result.status().ToString();
+    EXPECT_GE(engine.governor()->breaches(), 1u);
 
-  // Charges unwound: nothing leaked into the engine-wide ledger, and a
-  // query that stays under the ceiling still runs.
-  EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
-  QueryBuilder cheap(&engine);
-  cheap.Scan("left").Filter(Gt(Col("num"), Lit(4990.0)));
-  auto ok = engine.Execute(cheap.plan(), QueryOptions{});
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_GT(ok.ValueOrDie()->num_rows(), 0u);
+    // Charges unwound: nothing leaked into the engine-wide ledger, and a
+    // query that stays under the ceiling still runs.
+    EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+    QueryBuilder cheap(&engine);
+    cheap.Scan("left").Filter(Gt(Col("num"), Lit(4990.0)));
+    auto ok = engine.Execute(cheap.plan(), QueryOptions{});
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_GT(ok.ValueOrDie()->num_rows(), 0u);
+  }
+}
+
+TEST(GovernorTest, AggregateStateChargedAtEveryDopAndMorselCount) {
+  // 20k distinct groups cannot fit a 4 KiB budget whether the aggregate
+  // runs serially (dop 1, or an input that fits one morsel) or in
+  // per-worker chunks.
+  constexpr std::size_t kRows = 20000;
+  for (const std::size_t threads : {1, 2}) {
+    for (const std::size_t morsel_rows : {std::size_t{1024}, kRows + 1}) {
+      SCOPED_TRACE("num_threads=" + std::to_string(threads) +
+                   " morsel_rows=" + std::to_string(morsel_rows));
+      EngineOptions eo;
+      eo.num_threads = threads;
+      eo.morsel_rows = morsel_rows;
+      Engine engine(eo);
+      engine.catalog().Put("t", MakeWordTable(kRows, "w_"));
+
+      QueryBuilder qb(&engine);
+      qb.Scan("t").Aggregate({"word"}, {{AggKind::kCount, "", "n"}});
+      QueryOptions tight;
+      tight.memory_budget_bytes = 4096;
+      auto result = engine.Execute(qb.plan(), tight);
+      ASSERT_FALSE(result.ok());
+      EXPECT_TRUE(result.status().IsResourceExhausted())
+          << result.status().ToString();
+      EXPECT_EQ(engine.governor()->charged_bytes(), 0u);
+    }
+  }
 }
 
 TEST(GovernorTest, PerQuerySortBudgetBreach) {

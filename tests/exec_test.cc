@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "exec/aggregate.h"
 #include "exec/filter.h"
 #include "exec/hash_join.h"
 #include "exec/operator.h"
+#include "exec/parallel_sort.h"
 #include "exec/project.h"
 #include "exec/scan.h"
-#include "exec/sort_limit.h"
+#include "plan/plan_node.h"
 
 namespace cre {
 namespace {
@@ -110,11 +112,33 @@ TEST(ProjectTest, MissingColumnFailsAtOpen) {
   EXPECT_TRUE(project.Open().IsNotFound());
 }
 
+/// Probe-only join of `left` against a HashJoinTable built over `right`.
+std::unique_ptr<HashJoinOperator> ProbeJoin(TablePtr left, TablePtr right,
+                                            const std::string& left_key,
+                                            const std::string& right_key) {
+  auto build = HashJoinTable::Build(std::move(right), right_key).ValueOrDie();
+  return std::make_unique<HashJoinOperator>(
+      std::make_unique<TableScanOperator>(std::move(left)), std::move(build),
+      left_key, right_key);
+}
+
+/// Runs a plan as written on a single-worker engine over "products",
+/// "sales" and, when given, "extra".
+Result<TablePtr> RunSerial(const PlanPtr& plan, TablePtr extra = nullptr,
+                           std::size_t morsel_rows = 8 * 1024) {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.morsel_rows = morsel_rows;
+  Engine engine(options);
+  engine.catalog().Put("products", Products());
+  engine.catalog().Put("sales", Sales());
+  if (extra != nullptr) engine.catalog().Put("extra", std::move(extra));
+  return engine.ExecuteUnoptimized(plan);
+}
+
 TEST(HashJoinTest, InnerJoinIntKeys) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Sales()),
-                        std::make_unique<TableScanOperator>(Products()),
-                        "pid", "id");
-  auto out = ExecuteToTable(&join).ValueOrDie();
+  auto join = ProbeJoin(Sales(), Products(), "pid", "id");
+  auto out = ExecuteToTable(join.get()).ValueOrDie();
   // sale 100 -> product 1, 101 -> 3, 102 -> 1; 103 dangles.
   EXPECT_EQ(out->num_rows(), 3u);
   EXPECT_TRUE(out->schema().HasField("label"));
@@ -122,13 +146,11 @@ TEST(HashJoinTest, InnerJoinIntKeys) {
 }
 
 TEST(HashJoinTest, DuplicateNameSuffixed) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Products()),
-                        std::make_unique<TableScanOperator>(Products()),
-                        "id", "id");
-  ASSERT_TRUE(join.Open().ok());
-  EXPECT_TRUE(join.output_schema().HasField("id"));
-  EXPECT_TRUE(join.output_schema().HasField("id_r"));
-  EXPECT_TRUE(join.output_schema().HasField("label_r"));
+  auto join = ProbeJoin(Products(), Products(), "id", "id");
+  ASSERT_TRUE(join->Open().ok());
+  EXPECT_TRUE(join->output_schema().HasField("id"));
+  EXPECT_TRUE(join->output_schema().HasField("id_r"));
+  EXPECT_TRUE(join->output_schema().HasField("label_r"));
 }
 
 TEST(HashJoinTest, StringKeys) {
@@ -139,31 +161,38 @@ TEST(HashJoinTest, StringKeys) {
                                    {"v", DataType::kInt64, 0}}));
   right->AppendRow({Value("b"), Value(10)}).Check();
   right->AppendRow({Value("b"), Value(20)}).Check();
-  HashJoinOperator join(std::make_unique<TableScanOperator>(left),
-                        std::make_unique<TableScanOperator>(right), "k", "k2");
-  auto out = ExecuteToTable(&join).ValueOrDie();
+  auto join = ProbeJoin(left, right, "k", "k2");
+  auto out = ExecuteToTable(join.get()).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);  // "b" matches twice
 }
 
 TEST(HashJoinTest, TypeMismatchFails) {
-  HashJoinOperator join(std::make_unique<TableScanOperator>(Products()),
-                        std::make_unique<TableScanOperator>(Sales()),
-                        "label", "pid");
-  ASSERT_TRUE(join.Open().ok());
-  auto r = join.Next();
+  auto join = ProbeJoin(Products(), Sales(), "label", "pid");
+  ASSERT_TRUE(join->Open().ok());
+  auto r = join->Next();
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsTypeError());
 }
 
+/// Accumulates `input` into one GroupedAggregationState and finalizes it.
+Result<TablePtr> AggregateAll(const TablePtr& input,
+                              std::vector<std::string> group_keys,
+                              std::vector<AggSpec> aggs) {
+  GroupedAggregationState state;
+  CRE_RETURN_NOT_OK(
+      state.Init(input->schema(), std::move(group_keys), std::move(aggs)));
+  CRE_RETURN_NOT_OK(state.Consume(*input));
+  return state.Finalize();
+}
+
 TEST(AggregateTest, GroupByWithAggs) {
-  AggregateOperator agg(
-      std::make_unique<TableScanOperator>(Products()), {"label"},
-      {{AggKind::kCount, "", "n"},
-       {AggKind::kSum, "price", "total"},
-       {AggKind::kMin, "price", "cheapest"},
-       {AggKind::kMax, "price", "dearest"},
-       {AggKind::kAvg, "price", "avg_price"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  auto out = AggregateAll(Products(), {"label"},
+                          {{AggKind::kCount, "", "n"},
+                           {AggKind::kSum, "price", "total"},
+                           {AggKind::kMin, "price", "cheapest"},
+                           {AggKind::kMax, "price", "dearest"},
+                           {AggKind::kAvg, "price", "avg_price"}})
+                 .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 3u);  // coat, lamp, boot
   // Find the coat row.
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
@@ -178,56 +207,52 @@ TEST(AggregateTest, GroupByWithAggs) {
 }
 
 TEST(AggregateTest, GlobalAggregateNoKeys) {
-  AggregateOperator agg(std::make_unique<TableScanOperator>(Products()), {},
-                        {{AggKind::kCount, "", "n"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  auto out =
+      AggregateAll(Products(), {}, {{AggKind::kCount, "", "n"}}).ValueOrDie();
   ASSERT_EQ(out->num_rows(), 1u);
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 4);
 }
 
 TEST(AggregateTest, MissingAggColumnFails) {
-  AggregateOperator agg(std::make_unique<TableScanOperator>(Products()), {},
-                        {{AggKind::kSum, "missing", "s"}});
-  EXPECT_TRUE(agg.Open().IsNotFound());
+  GroupedAggregationState state;
+  EXPECT_TRUE(state.Init(Products()->schema(), {},
+                         {{AggKind::kSum, "missing", "s"}})
+                  .IsNotFound());
 }
 
 TEST(SortTest, AscendingAndDescending) {
-  SortOperator asc(std::make_unique<TableScanOperator>(Products()), "price",
-                   true);
-  auto out = ExecuteToTable(&asc).ValueOrDie();
+  auto out = SortTable(Products(), "price", true, nullptr).ValueOrDie();
   EXPECT_DOUBLE_EQ(out->GetValue(0, 2).AsFloat64(), 8.0);
   EXPECT_DOUBLE_EQ(out->GetValue(3, 2).AsFloat64(), 55.0);
 
-  SortOperator desc(std::make_unique<TableScanOperator>(Products()), "price",
-                    false);
-  auto out2 = ExecuteToTable(&desc).ValueOrDie();
+  auto out2 = SortTable(Products(), "price", false, nullptr).ValueOrDie();
   EXPECT_DOUBLE_EQ(out2->GetValue(0, 2).AsFloat64(), 55.0);
 }
 
 TEST(SortTest, StringKey) {
-  SortOperator sort(std::make_unique<TableScanOperator>(Products()), "label",
-                    true);
-  auto out = ExecuteToTable(&sort).ValueOrDie();
+  auto out = SortTable(Products(), "label", true, nullptr).ValueOrDie();
   EXPECT_EQ(out->GetValue(0, 1).AsString(), "boot");
 }
 
 TEST(LimitTest, TruncatesOutput) {
-  LimitOperator limit(std::make_unique<TableScanOperator>(Products()), 2);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  auto out =
+      RunSerial(PlanNode::Limit(PlanNode::Scan("products"), 2)).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 2u);
 }
 
 TEST(LimitTest, LimitLargerThanInput) {
-  LimitOperator limit(std::make_unique<TableScanOperator>(Products()), 99);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  auto out =
+      RunSerial(PlanNode::Limit(PlanNode::Scan("products"), 99)).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 4u);
 }
 
 TEST(LimitTest, AcrossBatches) {
   auto table = Table::Make(Schema({{"x", DataType::kInt64, 0}}));
   for (int i = 0; i < 100; ++i) table->AppendRow({Value(i)}).Check();
-  LimitOperator limit(std::make_unique<TableScanOperator>(table, 16), 40);
-  auto out = ExecuteToTable(&limit).ValueOrDie();
+  // 16-row morsels: the single worker pulls 16-row scan batches.
+  auto out = RunSerial(PlanNode::Limit(PlanNode::Scan("extra"), 40), table,
+                       /*morsel_rows=*/16)
+                 .ValueOrDie();
   EXPECT_EQ(out->num_rows(), 40u);
   EXPECT_EQ(out->GetValue(39, 0).AsInt64(), 39);
 }
@@ -235,15 +260,13 @@ TEST(LimitTest, AcrossBatches) {
 TEST(PipelineTest, ScanFilterProjectJoinAggregate) {
   // Full relational pipeline: sales joined to products over 20, count per
   // label.
-  auto scan_sales = std::make_unique<TableScanOperator>(Sales());
-  auto scan_products = std::make_unique<TableScanOperator>(Products());
-  auto filtered = std::make_unique<FilterOperator>(std::move(scan_products),
-                                                   Gt(Col("price"), Lit(20.0)));
-  auto join = std::make_unique<HashJoinOperator>(
-      std::move(scan_sales), std::move(filtered), "pid", "id");
-  AggregateOperator agg(std::move(join), {"label"},
-                        {{AggKind::kSum, "qty", "total_qty"}});
-  auto out = ExecuteToTable(&agg).ValueOrDie();
+  PlanPtr plan = PlanNode::Aggregate(
+      PlanNode::Join(PlanNode::Scan("sales"),
+                     PlanNode::Filter(PlanNode::Scan("products"),
+                                      Gt(Col("price"), Lit(20.0))),
+                     "pid", "id"),
+      {"label"}, {{AggKind::kSum, "qty", "total_qty"}});
+  auto out = RunSerial(plan).ValueOrDie();
   ASSERT_EQ(out->num_rows(), 2u);
   for (std::size_t r = 0; r < out->num_rows(); ++r) {
     const std::string label = out->GetValue(r, 0).AsString();
