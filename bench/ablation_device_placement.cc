@@ -9,8 +9,8 @@
 
 #include "bench/bench_util.h"
 #include "hw/device.h"
-#include "hw/dispatch.h"
 #include "hw/placement.h"
+#include "vecsim/kernels.h"
 
 namespace cre {
 namespace {
@@ -47,15 +47,11 @@ void RunPlacement() {
                 placed.device.name.c_str());
   }
 
-  std::printf("\n-- JIT-lite kernel late binding on the host CPU --\n");
-  AdaptiveKernelDispatcher dispatcher(100);
-  dispatcher.Resolve();
-  const double* m = dispatcher.measurements();
-  std::printf("calibrated ns/dot(dim=100): scalar=%.1f unrolled=%.1f "
-              "avx2=%s  -> bound variant: %s\n",
-              m[0], m[1],
-              m[2] < 0 ? "n/a" : std::to_string(m[2]).c_str(),
-              KernelVariantName(dispatcher.chosen_variant()));
+  std::printf("\n-- kernel late binding on the host CPU --\n");
+  std::printf("cpu: avx2=%s avx512f=%s -> bound variant: %s\n",
+              CpuSupportsAvx2() ? "yes" : "no",
+              CpuSupportsAvx512() ? "yes" : "no",
+              KernelVariantName(BestKernelVariant()));
 
   std::printf(
       "\nexpected shape: small batches stay on the CPU (startup+transfer\n"

@@ -2,8 +2,7 @@
 // hardware-conscious claims), four tables:
 //
 //   dispatch - what the runtime CPUID dispatch found on this host and
-//              which variant the adaptive calibration bound for the
-//              single-pair and batch shapes
+//              the variant it binds (BestKernelVariant)
 //   kernels  - ns/op for every float kernel variant in the single-pair,
 //              batch (one-to-many), and batch-gather shapes, plus the
 //              fp16 asymmetric kernel: the batch columns show what load
@@ -31,7 +30,6 @@
 #include "bench/bench_util.h"
 #include "core/rng.h"
 #include "core/timer.h"
-#include "hw/dispatch.h"
 #include "vecsim/brute_force.h"
 #include "vecsim/codec.h"
 #include "vecsim/fp16.h"
@@ -176,26 +174,15 @@ int main(int argc, char** argv) {
   auto data = ClusteredRows(n, dim, 5);
   auto queries = QueriesFrom(data, n, dim, std::max<std::size_t>(nq, 8));
 
-  // ---- dispatch: what runtime detection found and what won ----
+  // ---- dispatch: what runtime detection found and what it binds ----
   bench::PrintHeader("runtime kernel dispatch (dim=" + std::to_string(dim) +
                      ")");
   std::printf("cpu: avx2=%s avx512f=%s -> BestKernelVariant=%s\n",
               CpuSupportsAvx2() ? "yes" : "no",
               CpuSupportsAvx512() ? "yes" : "no",
               KernelVariantName(BestKernelVariant()));
-  AdaptiveKernelDispatcher dispatcher(dim);
-  dispatcher.Resolve();
-  dispatcher.ResolveBatch();
-  std::printf("adaptive choice: single=%s batch=%s\n",
-              KernelVariantName(dispatcher.chosen_variant()),
-              KernelVariantName(dispatcher.chosen_batch_variant()));
-  json.Add("dispatch",
-           {{"avx2", CpuSupportsAvx2() ? 1.0 : 0.0},
-            {"avx512", CpuSupportsAvx512() ? 1.0 : 0.0},
-            {"chosen_single",
-             static_cast<double>(dispatcher.chosen_variant())},
-            {"chosen_batch",
-             static_cast<double>(dispatcher.chosen_batch_variant())}});
+  json.Add("dispatch", {{"avx2", CpuSupportsAvx2() ? 1.0 : 0.0},
+                        {"avx512", CpuSupportsAvx512() ? 1.0 : 0.0}});
 
   // ---- kernels: single vs batch vs gather per variant ----
   bench::PrintHeader("kernel shapes, ns/op (n=" + std::to_string(n) +
@@ -241,7 +228,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- ground truth for the recall columns ----
-  FlatIndex exact(BestKernelVariant());
+  FlatIndex exact;
   exact.Build(data.data(), n, dim).Check();
   std::vector<std::vector<std::uint32_t>> truth;
   for (std::size_t q = 0; q * dim < queries.size(); ++q) {
@@ -262,7 +249,7 @@ int main(int argc, char** argv) {
         VectorCodecKind::kInt8}) {
     QuantizationOptions quant;
     quant.codec = kind;
-    FlatIndex index(BestKernelVariant(), quant);
+    FlatIndex index(quant);
     index.Build(data.data(), n, dim).Check();
     const double us = TopKMicros(index, queries, dim);
     const double recall = Recall10(index, truth, queries, dim);

@@ -1,32 +1,29 @@
 // Hardware-conscious execution (paper Sec. VI): the same logical
-// similarity-join workload is (a) late-bound to the fastest CPU kernel
-// variant by runtime calibration, and (b) placed onto the best simulated
-// device by the transfer-cost-aware placement optimizer.
+// similarity-join workload is (a) late-bound to the widest CPU kernel
+// variant the host supports (CPUID probe at startup), and (b) placed onto
+// the best simulated device by the transfer-cost-aware placement
+// optimizer.
 
 #include <cstdio>
 
 #include "core/rng.h"
 #include "core/timer.h"
 #include "hw/device.h"
-#include "hw/dispatch.h"
 #include "hw/placement.h"
 #include "vecsim/brute_force.h"
+#include "vecsim/kernels.h"
 
 using namespace cre;
 
 int main() {
   const std::size_t dim = 100;
 
-  // --- JIT-lite kernel late binding ---
-  AdaptiveKernelDispatcher dispatcher(dim);
-  DotFn kernel = dispatcher.Resolve();
-  const double* measured = dispatcher.measurements();
-  std::printf("kernel calibration (ns per dim-%zu dot):\n", dim);
-  std::printf("  scalar   %7.1f\n  unrolled %7.1f\n", measured[0],
-              measured[1]);
-  if (measured[2] >= 0) std::printf("  avx2     %7.1f\n", measured[2]);
-  std::printf("bound variant: %s\n\n",
-              KernelVariantName(dispatcher.chosen_variant()));
+  // --- kernel late binding by CPUID ---
+  const KernelVariant variant = BestKernelVariant();
+  const DotFn kernel = GetDotKernel(variant);
+  std::printf("cpu: avx2=%s avx512f=%s\n", CpuSupportsAvx2() ? "yes" : "no",
+              CpuSupportsAvx512() ? "yes" : "no");
+  std::printf("bound variant: %s\n\n", KernelVariantName(variant));
 
   // Use the bound kernel for a real scan.
   Rng rng(1);

@@ -9,7 +9,6 @@
 #include "core/timer.h"
 #include "embed/embedding_cache.h"
 #include "engine/parallel_driver.h"
-#include "hw/dispatch.h"
 #include "exec/filter.h"
 #include "exec/pipeline.h"
 #include "exec/project.h"
@@ -54,8 +53,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
       std::max<std::size_t>(1, options_.obs.trace_ring_capacity));
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache);
   KnobBaselines baselines;
-  baselines.morsel_rows = options_.morsel_rows;
-  baselines.radix_agg_min_groups = options_.optimizer.radix_agg_min_groups;
   baselines.index_reuse_horizon = options_.optimizer.index_reuse_horizon;
   knob_tuner_ = std::make_unique<KnobTuner>(options_.tuning, baselines);
   RegisterCollectors();
@@ -137,12 +134,8 @@ void Engine::RegisterCollectors() {
                pc.single_flight_waits);
     e->Gauge("cre_plan_cache_entries", {}, static_cast<double>(pc.entries));
 
-    // Knob tuner: the currently published execution knobs.
+    // Knob tuner: the currently published index reuse horizon.
     const KnobTuner::Snapshot kt = knob_tuner_->snapshot();
-    e->Gauge("cre_scheduler_morsel_rows", {},
-             static_cast<double>(kt.morsel_rows));
-    e->Gauge("cre_knob_radix_agg_min_groups", {},
-             static_cast<double>(kt.radix_agg_min_groups));
     e->Gauge("cre_knob_index_reuse_horizon", {}, kt.index_reuse_horizon);
     e->Counter("cre_knob_refits_total", {}, kt.refits);
 
@@ -160,38 +153,6 @@ void Engine::RegisterCollectors() {
                  cache->misses());
       e->Gauge("cre_embed_cache_entries", {{"model", name}},
                static_cast<double>(cache->size()));
-    }
-
-    // Kernel dispatch: the last adaptive calibration's decisions. The
-    // counter is always present (0 = never calibrated); the chosen/
-    // measured series only exist once a calibration has run.
-    const KernelCalibrationRecord cal = LastKernelCalibration();
-    e->Counter("cre_kernel_calibrations_total", {}, cal.calibrations);
-    if (cal.valid) {
-      e->Gauge("cre_kernel_dispatch_chosen",
-               {{"shape", "single"}, {"variant", KernelVariantName(cal.chosen)}},
-               1);
-      e->Gauge("cre_kernel_dispatch_chosen",
-               {{"shape", "batch"},
-                {"variant", KernelVariantName(cal.chosen_batch)}},
-               1);
-      const KernelVariant variants[kNumFloatKernelVariants] = {
-          KernelVariant::kScalar, KernelVariant::kUnrolled,
-          KernelVariant::kAvx2, KernelVariant::kAvx512};
-      for (int v = 0; v < kNumFloatKernelVariants; ++v) {
-        if (cal.measured_ns[v] >= 0) {
-          e->Gauge("cre_kernel_dispatch_ns",
-                   {{"shape", "single"},
-                    {"variant", KernelVariantName(variants[v])}},
-                   cal.measured_ns[v]);
-        }
-        if (cal.batch_measured_ns[v] >= 0) {
-          e->Gauge("cre_kernel_dispatch_ns",
-                   {{"shape", "batch"},
-                    {"variant", KernelVariantName(variants[v])}},
-                   cal.batch_measured_ns[v]);
-        }
-      }
     }
   });
 }
@@ -251,9 +212,8 @@ OptimizerOptions Engine::EffectiveOptimizerOptions() const {
     options.degree_of_parallelism = pool_->num_threads();
   }
   if (knob_tuner_ != nullptr) {
-    // Feedback-calibrated knobs override the configured baselines (they
-    // equal the baselines until the tuner has published a refit).
-    options.radix_agg_min_groups = knob_tuner_->radix_agg_min_groups();
+    // The refit reuse horizon overrides the configured baseline (it
+    // equals the baseline until the tuner has published a refit).
     options.index_reuse_horizon = knob_tuner_->index_reuse_horizon();
   }
   if (options_.index.async_builds &&
@@ -462,7 +422,6 @@ Result<OperatorPtr> Engine::LowerNodeOver(QueryContext* ctx,
       options.threshold = node.threshold;
       options.strategy = node.strategy;
       options.top_k = node.top_k;
-      options.variant = options_.kernel_variant;
       options.pool = ctx->runner();
       // Cancellation reaches the operator's probe loops and local index
       // builds, not just the driver's morsel/segment polls.
@@ -535,10 +494,8 @@ Result<OperatorPtr> Engine::LowerSemanticSelectOver(
 
 Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {
   // One executor at every dop: with a single worker the driver's morsel
-  // maps, sort and aggregate run inline on this thread. Morsel
-  // granularity is a tuned knob: the tuner aims each morsel task at
-  // options().tuning.morsel_target_seconds of observed work.
-  ParallelPlanDriver driver(this, ctx, knob_tuner_->morsel_rows());
+  // maps, sort and aggregate run inline on this thread.
+  ParallelPlanDriver driver(this, ctx);
   return driver.Run(*plan);
 }
 
@@ -730,7 +687,7 @@ Result<std::string> Engine::Explain(const PlanPtr& plan) {
   std::string out =
       optimized->ToString() + "plan: " + plan_origin + "\n\n" +
       DescribePipelines(*optimized, dop,
-                        knob_tuner_->radix_agg_min_groups());
+                        EffectiveOptimizerOptions().radix_agg_min_groups);
   // The engine's own permanent background group is not a query.
   const std::size_t active = scheduler_->active_queries() - 1;
   out += "serving: scheduler dop=" + std::to_string(dop) +
@@ -908,7 +865,7 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
   }
 
   out += DescribePipelines(*optimized, dop,
-                           knob_tuner_->radix_agg_min_groups());
+                           EffectiveOptimizerOptions().radix_agg_min_groups);
   out += "trace:\n" + trace->ToString();
   return out;
 }

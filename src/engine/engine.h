@@ -24,7 +24,6 @@
 #include "plan/plan_node.h"
 #include "semantic/semantic_select.h"
 #include "storage/catalog.h"
-#include "vecsim/kernels.h"
 #include "vision/detection_scan.h"
 
 namespace cre {
@@ -52,10 +51,10 @@ struct EngineOptions {
   /// Worker threads for parallel operators (0 = hardware concurrency,
   /// 1 = single-threaded).
   std::size_t num_threads = 0;
-  /// Rows per morsel for the parallel pipeline driver.
+  /// Rows per morsel for the parallel pipeline driver: the scan batch
+  /// size, the aggregate chunk unit, and the ceiling of the driver's
+  /// morsel-size rule (see ParallelPlanDriver).
   std::size_t morsel_rows = 8 * 1024;
-  /// Kernel variant for similarity operators.
-  KernelVariant kernel_variant = BestKernelVariant();
   /// Persistent vector-index subsystem: cache/eviction budget, build
   /// parameters, and async (background) build policy for managed indexes
   /// shared across queries.
@@ -78,9 +77,8 @@ struct EngineOptions {
   /// rebind literals into the cached optimized plan (stamp- and
   /// residency-validated at every lookup).
   PlanCacheOptions plan_cache;
-  /// Feedback calibration: refit morsel size, the radix-aggregation
-  /// crossover, the index reuse horizon, and the governor's bytes/row
-  /// charge estimates from observed execution.
+  /// Feedback calibration: refit the index reuse horizon and the
+  /// governor's bytes/row charge estimates from observed execution.
   KnobTunerOptions tuning;
 };
 
@@ -132,7 +130,8 @@ class Engine {
   /// The engine-wide metrics registry (never null). Snapshot() exports
   /// the unified namespace — engine-owned latency histograms and query
   /// counters plus collector-pulled scheduler / index-manager /
-  /// embed-cache / kernel-dispatch state — as JSON or Prometheus text.
+  /// governor / plan-cache / embed-cache state — as JSON or Prometheus
+  /// text.
   MetricsRegistry* metrics() { return metrics_.get(); }
   const MetricsRegistry* metrics() const { return metrics_.get(); }
   /// Ring of recently finished query traces (sampled per ObsOptions).
@@ -235,6 +234,12 @@ class Engine {
   /// execution) are built internally by Execute.
   Optimizer MakeOptimizer() const;
 
+  /// Engine-level optimizer options with the pool's dop, the tuned index
+  /// reuse horizon and the async build discount filled in. Every
+  /// optimizer, EXPLAIN and the parallel driver read the same values, so
+  /// EXPLAIN and Execute agree on plans and aggregate forms.
+  OptimizerOptions EffectiveOptimizerOptions() const;
+
  private:
   /// Admits one query: pins the catalog snapshot, joins the scheduler at
   /// `query.priority` under the bounded-admission policy (may shed with
@@ -243,7 +248,8 @@ class Engine {
   Result<QueryContext> MakeContext(const QueryOptions& query,
                                    StatsCollector* stats);
   /// Registers the pull-style metric collectors (scheduler, index
-  /// manager, embed caches, kernel dispatch) on metrics_.
+  /// manager, governor, plan cache, knob tuner, embed caches) on
+  /// metrics_.
   void RegisterCollectors();
   /// Allocates the query id and, when this query is sampled (or `force`),
   /// its trace. Wires both into `ctx`.
@@ -284,10 +290,6 @@ class Engine {
   PlanCache::AbsentProbe PlanCacheAbsentProbe() const;
   /// Per-query optimizer over ctx's pinned snapshot.
   Optimizer MakeOptimizerFor(QueryContext* ctx) const;
-  /// Engine-level optimizer options with the pool's dop and the async
-  /// build discount filled in (shared by MakeOptimizer/MakeOptimizerFor
-  /// so EXPLAIN and Execute agree on plans).
-  OptimizerOptions EffectiveOptimizerOptions() const;
   /// Cost constants mirroring the managed index builds' configuration
   /// (IndexManagerOptions), the base every engine optimizer costs with.
   CostParams IndexCostParams() const;

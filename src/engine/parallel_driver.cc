@@ -15,15 +15,41 @@
 
 namespace cre {
 
-ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx,
-                                       std::size_t morsel_rows)
+namespace {
+
+/// Over-decomposition factor: the morsel maps aim at this many morsels
+/// per worker, and a hash aggregate at this many chunks per worker —
+/// enough slack to balance uneven rows across workers.
+constexpr std::size_t kMorselsPerWorker = 4;
+/// Floor on the rule's morsel size, so small inputs do not shatter into
+/// morsels whose per-task overhead outweighs their rows.
+constexpr std::size_t kMinMorselRows = 1024;
+
+}  // namespace
+
+ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx)
     : engine_(engine),
       ctx_(ctx),
       runner_(ctx->runner()),
-      morsel_rows_(std::max<std::size_t>(1, morsel_rows)),
+      morsel_rows_(std::max<std::size_t>(1, engine->options().morsel_rows)),
       stats_(ctx->stats()),
       trace_(ctx->trace()),
       span_parent_(ctx->trace_parent()) {}
+
+MorselOptions ParallelPlanDriver::MorselMapOptions(std::size_t rows) const {
+  MorselOptions options;
+  options.morsel_rows = morsel_rows_;
+  const std::size_t dop = runner_->num_threads();
+  if (dop > 1) {
+    const std::size_t per_morsel =
+        (rows + kMorselsPerWorker * dop - 1) / (kMorselsPerWorker * dop);
+    options.morsel_rows =
+        std::min(morsel_rows_, std::max(kMinMorselRows, per_morsel));
+  }
+  options.pool = runner_;
+  options.cancel = ctx_->cancel_flag();
+  return options;
+}
 
 Result<TablePtr> ParallelPlanDriver::Run(const PlanNode& root) {
   CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
@@ -202,19 +228,12 @@ Result<TablePtr> ParallelPlanDriver::RunSegment(
 
   CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
   CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
-  options.on_morsel = [this](std::size_t rows, double seconds) {
-    engine_->knob_tuner()->ObserveMorsel(rows, seconds);
-  };
   return MorselParallelMap(
       base,
       [&](std::size_t, const TablePtr& slice) {
         return BuildChain(segment, slice, joins, selects);
       },
-      options);
+      MorselMapOptions(base->num_rows()));
 }
 
 Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
@@ -280,10 +299,6 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
   CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
   CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
   CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
-  MorselOptions options;
-  options.morsel_rows = morsel_rows_;
-  options.pool = runner_;
-  options.cancel = ctx_->cancel_flag();
   MorselBudgetStats budget;
   CRE_ASSIGN_OR_RETURN(
       TablePtr out,
@@ -292,7 +307,7 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
           [&](std::size_t, const TablePtr& slice) {
             return BuildChain(segment, slice, joins, selects);
           },
-          limit.limit, options, &budget));
+          limit.limit, MorselMapOptions(base->num_rows()), &budget));
   if (stats_ != nullptr) {
     stats_->SlotFor(&limit,
                     "Limit(" + std::to_string(limit.limit) +
@@ -320,25 +335,19 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   const Schema input_schema = prototype->output_schema();
 
   const std::size_t n = base->num_rows();
-  // Layout decisions (parallel-vs-serial, chunk boundaries) use the
-  // engine's configured morsel baseline, NOT the tuned morsel size: the
-  // chunk row-ranges determine the group-merge insertion order, and a
-  // mid-stream tuner refit must never change result row order. The tuned
-  // size only affects slicing granularity inside a chunk, where morsels
-  // run sequentially in row order.
-  const std::size_t layout_rows =
-      std::max<std::size_t>(1, engine_->options().morsel_rows);
-  const std::size_t num_morsels = (n + layout_rows - 1) / layout_rows;
+  // Chunk boundaries are multiples of the configured morsel size, so the
+  // group-merge insertion order (and the output row order) is fixed by
+  // (rows, dop, EngineOptions::morsel_rows).
+  const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
   const bool parallel =
       num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
   // High estimated group cardinality flips accumulation to the two-phase
   // radix scheme: the serial whole-map merge would otherwise dominate.
   // Unoptimized plans carry no estimate (est_rows < 0); then a threshold
   // of 0 explicitly forces the radix form for keyed aggregates. The
-  // threshold comes from the knob tuner, which re-fits it from observed
-  // accumulate/merge timings (falling back to the configured baseline).
+  // threshold is the one the optimizer costs with.
   const std::size_t radix_threshold =
-      engine_->knob_tuner()->radix_agg_min_groups();
+      engine_->EffectiveOptimizerOptions().radix_agg_min_groups;
   const bool use_radix =
       parallel && !agg.group_keys.empty() &&
       (agg.est_rows >= 0
@@ -359,7 +368,8 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     const std::size_t chunks = std::min<std::size_t>(
         num_morsels,
         std::max<std::size_t>(1, use_radix ? runner_->num_threads()
-                                           : runner_->num_threads() * 4));
+                                           : runner_->num_threads() *
+                                                 kMorselsPerWorker));
     per_chunk = (num_morsels + chunks - 1) / chunks;
     num_chunks = (num_morsels + per_chunk - 1) / per_chunk;
   }
@@ -413,15 +423,14 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
   }
 
   // Drives chunk `c`'s morsel chains into `consume`, polling the
-  // cancellation flag between morsels. Chunk boundaries are fixed by the
-  // layout baseline; within the chunk, rows stream in order in slices of
-  // the tuned morsel size.
+  // cancellation flag between morsels; within the chunk, rows stream in
+  // order in morsel-sized slices.
   auto run_chunk = [&](std::size_t c,
                        const std::function<Status(const Table&)>& consume)
       -> Status {
-    const std::size_t begin_row = c * per_chunk * layout_rows;
+    const std::size_t begin_row = c * per_chunk * morsel_rows_;
     const std::size_t end_row =
-        std::min(n, begin_row + per_chunk * layout_rows);
+        std::min(n, begin_row + per_chunk * morsel_rows_);
     for (std::size_t r = begin_row; r < end_row; r += morsel_rows_) {
       CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
       TablePtr slice = base->Slice(r, std::min(morsel_rows_, end_row - r));
@@ -540,11 +549,6 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     }
     merge_seconds = merge_timer.Seconds();
   }
-
-  // Feed the tuner's radix-threshold fit: which accumulation mode ran,
-  // over how many rows/groups, and how the time split between phases.
-  engine_->knob_tuner()->ObserveAggregate(use_radix, n, out->num_rows(),
-                                          accumulate_seconds, merge_seconds);
 
   if (trace_ != nullptr && span_parent_ != nullptr) {
     trace_->Annotate(span_parent_, "agg_mode", use_radix ? "radix" : "hash");

@@ -8,6 +8,7 @@
 #include "engine/engine.h"
 #include "engine/query_context.h"
 #include "exec/hash_join.h"
+#include "exec/morsel.h"
 #include "exec/pipeline.h"
 
 namespace cre {
@@ -30,9 +31,9 @@ namespace cre {
 ///    hashed once into a shared read-only HashJoinTable, and probed from
 ///    every morsel pipeline concurrently;
 ///  - Aggregate: each worker chunk accumulates private state over its
-///    morsels. At low group cardinality that is one
-///    GroupedAggregationState per chunk whose partials merge at the
-///    barrier in chunk-index order; above
+///    configured-size (EngineOptions::morsel_rows) morsels. At low group
+///    cardinality that is one GroupedAggregationState per chunk whose
+///    partials merge at the barrier in chunk-index order; above
 ///    OptimizerOptions::radix_agg_min_groups estimated groups the chunks
 ///    instead partition by group-key hash radix
 ///    (RadixAggregationState) and the merge fans out over the pool, one
@@ -58,6 +59,13 @@ namespace cre {
 ///    the morsel scheduler as a scanning segment, so the brute-force
 ///    fallback still runs parallel.
 ///
+/// Morsel geometry is a rule, not a tuned knob: a morsel map over `n`
+/// rows at dop > 1 cuts morsels of min(EngineOptions::morsel_rows,
+/// max(1024, ceil(n / (4 * dop)))) rows — about four morsels per
+/// worker, never above the configured size — and configured-size
+/// morsels at dop 1. The same (rows, dop, morsel_rows) always gives the
+/// same morsels.
+///
 /// All scheduling happens on the driver (caller) thread; worker tasks
 /// never block on the pool themselves, which keeps the fixed-size pool
 /// deadlock-free. The driver is the engine's only executor: with a
@@ -65,8 +73,7 @@ namespace cre {
 /// on the driver thread, with the same operators and budget charges.
 class ParallelPlanDriver {
  public:
-  ParallelPlanDriver(Engine* engine, QueryContext* ctx,
-                     std::size_t morsel_rows);
+  ParallelPlanDriver(Engine* engine, QueryContext* ctx);
 
   /// Executes the plan tree and returns the materialized result.
   Result<TablePtr> Run(const PlanNode& root);
@@ -92,6 +99,10 @@ class ParallelPlanDriver {
   Result<TablePtr> RunLimit(const PlanNode& limit);
   Result<JoinStates> BuildJoinStates(const PipelineSegment& segment);
   Result<SelectStates> BuildSelectStates(const PipelineSegment& segment);
+
+  /// Options for a morsel map over `rows`: the morsel-size rule (see the
+  /// class comment), this query's runner and cancellation flag.
+  MorselOptions MorselMapOptions(std::size_t rows) const;
 
   /// Instantiates the segment's operator chain over one morsel slice.
   /// Called concurrently from worker threads; everything it touches is
@@ -131,6 +142,8 @@ class ParallelPlanDriver {
   Engine* engine_;
   QueryContext* ctx_;
   TaskRunner* runner_;
+  /// EngineOptions::morsel_rows: the scan batch size, the aggregate chunk
+  /// layout unit, and the morsel-size ceiling.
   std::size_t morsel_rows_;
   StatsCollector* stats_;
   QueryTrace* trace_;

@@ -5,8 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "core/timer.h"
-
 namespace cre {
 
 namespace {
@@ -51,13 +49,8 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("query cancelled before morsel execution");
     }
-    Timer timer;
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
-    Result<TablePtr> out = RunPipeline(pipeline.get(), kNoCap, options.cancel);
-    if (out.ok() && options.on_morsel && n > 0) {
-      options.on_morsel(n, timer.Seconds());
-    }
-    return out;
+    return RunPipeline(pipeline.get(), kNoCap, options.cancel);
   }
 
   // Each task writes only its own slot, so no lock is needed.
@@ -72,16 +65,12 @@ Result<TablePtr> MorselParallelMap(const TablePtr& table,
             results[m] = Status::Cancelled("query cancelled mid-morsel-map");
             continue;
           }
-          TablePtr slice = table->Slice(m * morsel, morsel);
-          Timer timer;
-          const std::size_t slice_rows = slice->num_rows();
           results[m] = [&]() -> Result<TablePtr> {
-            CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(m, slice));
+            CRE_ASSIGN_OR_RETURN(
+                OperatorPtr pipeline,
+                build(m, table->Slice(m * morsel, morsel)));
             return RunPipeline(pipeline.get(), kNoCap, options.cancel);
           }();
-          if (results[m].ok() && options.on_morsel && slice_rows > 0) {
-            options.on_morsel(slice_rows, timer.Seconds());
-          }
         }
       },
       /*min_chunk=*/1);
@@ -124,7 +113,7 @@ Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       return Status::Cancelled("query cancelled before morsel execution");
     }
-    // Serial pull with early exit — the classic LIMIT loop.
+    // One pipeline inline, stopping at the limit.
     CRE_ASSIGN_OR_RETURN(OperatorPtr pipeline, build(0, table));
     if (stats != nullptr) stats->morsels_run = num_morsels;
     return RunPipeline(pipeline.get(), limit, options.cancel);

@@ -20,18 +20,11 @@ namespace cre {
 /// driver around calls to this primitive.
 struct MorselOptions {
   std::size_t morsel_rows = 8 * 1024;
-  TaskRunner* pool = nullptr;  ///< nullptr = run serially
+  TaskRunner* pool = nullptr;  ///< nullptr = run inline on the caller
   /// Cooperative cancellation: polled before each morsel pipeline runs
   /// and between its batches; once set, remaining morsels resolve to
   /// Status::Cancelled and the map returns it. nullptr = not cancellable.
   const CancelFlag* cancel = nullptr;
-  /// Observation hook: called once per successfully completed morsel
-  /// pipeline with its input rows and wall seconds (the engine feeds the
-  /// knob tuner's morsel sizing from this). Called concurrently from
-  /// worker threads — must be thread-safe. Uncapped full-pipeline runs
-  /// only: the LIMIT-bounded variant doesn't report (an early-exited
-  /// pipeline's seconds/row would be meaningless).
-  std::function<void(std::size_t rows, double seconds)> on_morsel;
 };
 
 /// Instantiates the per-morsel pipeline for morsel `index` over `slice`.
@@ -68,8 +61,9 @@ struct MorselBudgetStats {
 /// completed prefix can never displace prefix rows, so the cutoff is
 /// exact, not heuristic). Each pipeline also stops pulling batches once
 /// its own output reaches the budget remaining at claim time, bounding
-/// work inside a morsel. With no pool (or one thread) this is the classic
-/// serial pull loop with early exit.
+/// work inside a morsel. With no pool (or one thread) one pipeline over
+/// the whole input runs inline on the calling thread and stops pulling
+/// batches at the limit.
 Result<TablePtr> MorselParallelMapLimited(const TablePtr& table,
                                           const MorselPipelineBuilder& build,
                                           std::size_t limit,

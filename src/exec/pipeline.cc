@@ -57,10 +57,10 @@ class PipelineDescriber {
   }
 
  private:
-  /// Scheduling annotation; every parallel mode collapses to the serial
-  /// pull loop when the driver has no worker pool to spread over.
+  /// Scheduling annotation; at dop 1 every mode runs its same operators
+  /// inline on the calling thread.
   std::string Mode(const std::string& desc) const {
-    if (dop_ <= 1) return "[serial pull loop]";
+    if (dop_ <= 1) return "[inline on the calling thread]";
     return "[" + desc + ", dop=" + std::to_string(dop_) + "]";
   }
 

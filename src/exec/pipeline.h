@@ -53,11 +53,10 @@ PipelineSegment DecomposePipeline(const PlanNode& root);
 /// line per pipeline, each annotated with its degree of parallelism and
 /// how it is scheduled — through the morsel scheduler (with a shared row
 /// budget for LIMIT subtrees), as a parallel sort / top-k sort, through
-/// an internally parallel operator, or (dop <= 1) the serial pull loop.
-/// `radix_agg_min_groups` mirrors the driver's aggregate-form choice so
-/// the annotation matches what would execute. Appended to
-/// Engine::Explain output; makes the removal of the serial LIMIT
-/// fallback observable.
+/// an internally parallel operator, or (dop <= 1) inline on the calling
+/// thread. `radix_agg_min_groups` mirrors the driver's aggregate-form
+/// choice so the annotation matches what would execute. Appended to
+/// Engine::Explain output.
 std::string DescribePipelines(const PlanNode& plan, std::size_t dop,
                               std::size_t radix_agg_min_groups);
 

@@ -40,8 +40,8 @@ struct OperatorStats {
 };
 
 /// Collects stats from a tree of instrumented operators. AddSlot creates a
-/// fresh slot per call (the serial executor's one-slot-per-operator
-/// layout); SlotFor returns one shared slot per plan-node identity, which
+/// fresh slot per call (the engine's scheduling summary lines); SlotFor
+/// returns one shared slot per plan-node identity, which
 /// is how the parallel driver aggregates every per-morsel operator
 /// instance of one plan node into a single line while keeping distinct
 /// same-named nodes (two Filters, two HashJoins) on separate lines. Both

@@ -177,7 +177,7 @@ Result<TablePtr> SemanticJoinOperator::Next() {
     std::vector<MatchPair> matches;
     if (options_.top_k > 0) {
       // Top-k mode: per left row, the k best right rows above threshold.
-      const DotFn dot = GetDotKernel(options_.variant);
+      const DotFn dot = GetDotKernel(BestKernelVariant());
       const std::size_t n_right = right_matrix_.size() / dim;
       for (std::size_t i = 0; i < words.size(); ++i) {
         CRE_RETURN_NOT_OK(CheckProbeCancel(options_.cancel, i));
@@ -201,7 +201,6 @@ Result<TablePtr> SemanticJoinOperator::Next() {
       }
     } else if (index_ == nullptr) {
       BruteForceOptions bf;
-      bf.variant = options_.variant;
       bf.pool = options_.pool;
       bf.cancel = options_.cancel;
       matches = SimilarityJoinBrute(left_matrix.data(), words.size(),
@@ -265,7 +264,6 @@ std::vector<MatchPair> SemanticStringJoin(
 
   if (options.strategy == SemanticJoinStrategy::kBruteForce) {
     BruteForceOptions bf;
-    bf.variant = options.variant;
     bf.pool = options.pool;
     return SimilarityJoinBrute(lm.data(), left.size(), rm.data(),
                                right.size(), dim, options.threshold, bf);

@@ -68,7 +68,6 @@ const char* IndexResidencyName(IndexResidency r);
 struct SemanticJoinOptions {
   float threshold = 0.9f;
   SemanticJoinStrategy strategy = SemanticJoinStrategy::kBruteForce;
-  KernelVariant variant = BestKernelVariant();
   TaskRunner* pool = nullptr;  ///< enables parallel probing when set
   /// Cooperative cancellation, polled inside the per-batch probe loops
   /// (and threaded into local index builds) so cancelling a heavy

@@ -104,7 +104,6 @@ std::vector<MatchPair> SimilarityJoinBruteHalf(
 Status FlatIndex::Build(const float* data, std::size_t n, std::size_t dim) {
   if (dim == 0) return Status::InvalidArgument("dim must be positive");
   store_.Reset(quant_.codec, dim);
-  store_.SetVariant(variant_);
   store_.Append(data, n);
   n_ = n;
   dim_ = dim;
@@ -146,7 +145,6 @@ Status FlatIndex::Load(std::istream& in) {
   }
   CRE_RETURN_NOT_OK(store_.Load(in, static_cast<std::size_t>(n),
                                 static_cast<std::size_t>(dim)));
-  store_.SetVariant(variant_);
   quant_.codec = store_.kind();
   n_ = static_cast<std::size_t>(n);
   dim_ = static_cast<std::size_t>(dim);

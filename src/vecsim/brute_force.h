@@ -22,7 +22,9 @@ struct MatchPair {
 
 /// Options controlling the brute-force similarity join kernels.
 struct BruteForceOptions {
-  KernelVariant variant = KernelVariant::kUnrolled;
+  /// Kernel variant for the batch dot products. Defaults to the widest
+  /// the host supports; the fig4 ladder pins slower rungs with it.
+  KernelVariant variant = BestKernelVariant();
   TaskRunner* pool = nullptr;  ///< parallel over left rows when set
   /// Cooperative cancellation, polled between left rows. A flipped flag
   /// makes the scan stop early and return a partial result — the caller
@@ -47,17 +49,14 @@ std::vector<MatchPair> SimilarityJoinBruteHalf(
     std::size_t n_right, std::size_t dim, float threshold,
     TaskRunner* pool = nullptr);
 
-/// Exact flat index: linear scan with the best available batch kernel.
+/// Exact flat index: linear scan with the best available batch kernel
+/// (BestKernelVariant(), bound by CPUID).
 /// With a quantized codec the scan scores the compressed rows
 /// asymmetrically, over-fetches rescore_factor * k candidates, and
 /// re-ranks them with exact fp32 arithmetic over the decoded vectors.
 class FlatIndex : public VectorIndex {
  public:
-  explicit FlatIndex(KernelVariant variant = BestKernelVariant(),
-                     QuantizationOptions quant = {})
-      : variant_(variant), quant_(quant) {
-    store_.SetVariant(variant);
-  }
+  explicit FlatIndex(QuantizationOptions quant = {}) : quant_(quant) {}
 
   Status Build(const float* data, std::size_t n, std::size_t dim) override;
   Status Add(const float* data, std::size_t n, std::size_t dim) override;
@@ -78,7 +77,6 @@ class FlatIndex : public VectorIndex {
   VectorCodecKind codec() const { return store_.kind(); }
 
  private:
-  KernelVariant variant_;
   QuantizationOptions quant_;
   VectorStore store_;
   std::size_t n_ = 0;

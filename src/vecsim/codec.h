@@ -86,12 +86,10 @@ class VectorStore {
   /// their own math — k-means, hyperplane hashing — stay full precision).
   const float* Fp32Data() const { return fp32_.data(); }
 
-  /// Kernel variant used for fp32 scoring (quantized codecs dispatch
-  /// internally); defaults to the widest supported.
-  void SetVariant(KernelVariant v) { variant_ = v; }
-
  private:
   VectorCodecKind kind_ = VectorCodecKind::kFp32;
+  /// Kernel variant for fp32 scoring (quantized codecs dispatch
+  /// internally): the widest the host supports.
   KernelVariant variant_ = BestKernelVariant();
   std::size_t dim_ = 0;
   std::size_t n_ = 0;

@@ -22,10 +22,6 @@ enum class KernelVariant {
   kHalf,         ///< FP16-stored operands, float accumulation
 };
 
-/// Number of float32 variants a calibration sweep covers (scalar, unrolled,
-/// avx2, avx512) — kHalf is excluded because its operand type differs.
-constexpr int kNumFloatKernelVariants = 4;
-
 const char* KernelVariantName(KernelVariant v);
 
 /// True when the host CPU supports AVX2+FMA+F16C at runtime (and the build

@@ -9,6 +9,7 @@
 // the equivalence checks bit-exact rather than tolerance-based.
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 
 #include "core/rng.h"
 #include "datagen/vocabulary.h"
+#include "embed/hash_embedding_model.h"
 #include "embed/structured_model.h"
 #include "engine/engine.h"
 #include "engine/query_builder.h"
@@ -425,10 +427,12 @@ TEST(ParallelExecPlain, ExplainAnnotatesPipelineSchedulingAndBudget) {
       << par;
   EXPECT_NE(par.find("shared row budget"), std::string::npos) << par;
   EXPECT_NE(par.find("morsel scheduler"), std::string::npos) << par;
-  EXPECT_EQ(par.find("serial pull loop"), std::string::npos) << par;
+  EXPECT_EQ(par.find("inline on the calling thread"), std::string::npos)
+      << par;
 
   const std::string ser = serial.Explain(plan).ValueOrDie();
-  EXPECT_NE(ser.find("serial pull loop"), std::string::npos) << ser;
+  EXPECT_NE(ser.find("inline on the calling thread"), std::string::npos)
+      << ser;
 
   // Top-k folding and the sort's parallel form are visible too.
   PlanPtr topk = PlanNode::Limit(
@@ -436,6 +440,77 @@ TEST(ParallelExecPlain, ExplainAnnotatesPipelineSchedulingAndBudget) {
   const std::string topk_explain = parallel.Explain(topk).ValueOrDie();
   EXPECT_NE(topk_explain.find("parallel top-k sort"), std::string::npos)
       << topk_explain;
+}
+
+/// Hash embeddings behind a ~5us spin per string: rows slow enough that
+/// a morsel sizer driven by observed time would shrink its morsels.
+class SlowEmbeddingModel : public EmbeddingModel {
+ public:
+  std::size_t dim() const override { return inner_.dim(); }
+  void Embed(std::string_view text, float* out) const override {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    inner_.Embed(text, out);
+  }
+  std::string name() const override { return "slow"; }
+
+ private:
+  HashEmbeddingModel inner_;
+};
+
+/// `batches=` of the Scan line in EXPLAIN ANALYZE of a bare 20k-row scan.
+/// Each morsel's scan emits one batch (morsels never exceed the
+/// configured morsel_rows), so this counts the driver's morsels.
+std::size_t ScanMorsels(Engine* engine) {
+  const std::string out =
+      engine->ExplainAnalyze(PlanNode::Scan("numbers")).ValueOrDie();
+  const std::string key = "[rows=20000 batches=";
+  const std::size_t at = out.find(key);
+  EXPECT_NE(at, std::string::npos) << out;
+  if (at == std::string::npos) return 0;
+  return std::stoul(out.substr(at + key.size()));
+}
+
+TEST(ParallelExecPlain, MorselGeometryDependsOnlyOnRowsDopAndMorselRows) {
+  constexpr std::size_t kRows = 20000;
+  auto numbers = Table::Make(Schema({{"x", DataType::kInt64, 0}}));
+  for (std::size_t i = 0; i < kRows; ++i) {
+    numbers->column(0).AppendInt64(static_cast<std::int64_t>(i));
+  }
+  auto words = Table::Make(Schema({{"w", DataType::kString, 0}}));
+  for (std::size_t i = 0; i < 2048; ++i) {
+    words->column(0).AppendString("w" + std::to_string(i));
+  }
+  // morsel = min(morsel_rows, max(1024, ceil(rows / (4 * dop)))) at
+  // dop > 1; morsel_rows at dop 1.
+  struct Case {
+    std::size_t threads;
+    std::size_t morsel_rows;
+    std::size_t morsels;
+  };
+  for (const Case c : {Case{kThreads, 8 * 1024, 16},  // 1250-row morsels
+                       Case{kThreads, 1000, 20},      // configured < 1024
+                       Case{1, 8 * 1024, 3}}) {
+    EngineOptions eo;
+    eo.num_threads = c.threads;
+    eo.morsel_rows = c.morsel_rows;
+    Engine engine(eo);
+    engine.catalog().Put("numbers", numbers);
+    engine.catalog().Put("words", words);
+    engine.models().Put("slow", std::make_shared<SlowEmbeddingModel>());
+    EXPECT_EQ(ScanMorsels(&engine), c.morsels) << c.threads;
+
+    // Slow rows must not move the geometry.
+    for (int q = 0; q < 10; ++q) {
+      PlanPtr select = PlanNode::SemanticSelect(PlanNode::Scan("words"), "w",
+                                                "w" + std::to_string(q),
+                                                "slow", 0.99f);
+      ASSERT_TRUE(engine.ExecuteUnoptimized(select).ok());
+    }
+    EXPECT_EQ(ScanMorsels(&engine), c.morsels) << c.threads;
+  }
 }
 
 TEST(ParallelExecPlain, GlobalAggregateOverEmptyInput) {

@@ -249,7 +249,7 @@ TEST_F(PlanCacheTest, HitSkipsOptimizerAndRebindsByteIdentical) {
   std::string prom = engine->metrics()->Snapshot().ToPrometheusText();
   EXPECT_NE(prom.find("cre_plan_cache_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("cre_plan_cache_misses_total"), std::string::npos);
-  EXPECT_NE(prom.find("cre_scheduler_morsel_rows"), std::string::npos);
+  EXPECT_NE(prom.find("cre_knob_index_reuse_horizon"), std::string::npos);
 }
 
 TEST_F(PlanCacheTest, ExplainAnnotatesWithoutPopulating) {
@@ -410,75 +410,24 @@ KnobTunerOptions UnitTunerOptions() {
   KnobTunerOptions to;
   to.min_samples = 1;
   to.hysteresis = 0.0;
-  to.ewma_alpha = 1.0;  // EWMA == last sample: exact expectations
   return to;
-}
-
-TEST_F(PlanCacheTest, TunerFitsMorselRowsToTargetTaskLength) {
-  KnobTuner tuner(UnitTunerOptions(), KnobBaselines{});
-  EXPECT_EQ(tuner.morsel_rows(), KnobBaselines{}.morsel_rows);
-
-  // 1000 rows in 1ms = 1us/row; at a 2ms target that fits 2000 rows.
-  tuner.ObserveMorsel(1000, 0.001);
-  EXPECT_EQ(tuner.morsel_rows(), 2000u);
-  EXPECT_GE(tuner.snapshot().refits, 1u);
-
-  // Very cheap rows clamp at the configured baseline (morsels never grow
-  // past it)...
-  tuner.ObserveMorsel(1000000, 1e-7);
-  EXPECT_EQ(tuner.morsel_rows(), KnobBaselines{}.morsel_rows);
-
-  // ...and very expensive rows clamp at the min.
-  tuner.ObserveMorsel(10, 1.0);
-  EXPECT_EQ(tuner.morsel_rows(), UnitTunerOptions().min_morsel_rows);
-}
-
-TEST_F(PlanCacheTest, TunerNeverGrowsMorselsPastTheBaseline) {
-  KnobBaselines baselines;
-  baselines.morsel_rows = 4096;
-  KnobTuner tuner(UnitTunerOptions(), baselines);
-
-  // Rows cheap enough to fit anywhere from 8k to millions per 2ms task.
-  for (const double row_seconds : {2.5e-7, 1e-8, 1e-9, 1e-7, 1e-10}) {
-    tuner.ObserveMorsel(100000, 100000 * row_seconds);
-    EXPECT_LE(tuner.morsel_rows(), 4096u) << row_seconds;
-  }
-  EXPECT_EQ(tuner.morsel_rows(), 4096u);
-
-  // Shrinking below the baseline still works: 1us/row fits 2000 rows.
-  tuner.ObserveMorsel(1000, 0.001);
-  EXPECT_EQ(tuner.morsel_rows(), 2000u);
 }
 
 TEST_F(PlanCacheTest, TunerHysteresisSuppressesSmallMoves) {
   KnobTunerOptions to = UnitTunerOptions();
   to.hysteresis = 0.25;
   KnobTuner tuner(to, KnobBaselines{});
-  const std::size_t baseline = KnobBaselines{}.morsel_rows;  // 8192
+  const double baseline = KnobBaselines{}.index_reuse_horizon;  // 1.0
 
-  // Candidate 9000 is within 25% of 8192: no publish.
-  tuner.ObserveMorsel(9000, 0.002);
-  EXPECT_EQ(tuner.morsel_rows(), baseline);
+  // Candidate 1.2 is within 25% of 1.0: no publish.
+  tuner.ObserveIndexReuse(12, 10);
+  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), baseline);
   EXPECT_EQ(tuner.snapshot().refits, 0u);
 
-  // Candidate 1024 (clamped) clears the band: published.
-  tuner.ObserveMorsel(1000, 0.002);
-  EXPECT_EQ(tuner.morsel_rows(), to.min_morsel_rows);
+  // Candidate 16 (clamped from 100) clears the band: published.
+  tuner.ObserveIndexReuse(1000, 10);
+  EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), to.max_reuse_horizon);
   EXPECT_EQ(tuner.snapshot().refits, 1u);
-}
-
-TEST_F(PlanCacheTest, TunerRadixCrossoverNeedsBothModes) {
-  KnobTuner tuner(UnitTunerOptions(), KnobBaselines{});
-  const std::size_t baseline = KnobBaselines{}.radix_agg_min_groups;
-
-  // Hash-mode only: no refit (the crossover needs both sides measured).
-  tuner.ObserveAggregate(/*radix=*/false, 10000, 100, 0.010, 0.001);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), baseline);
-
-  // Radix observed too: accumulate delta 2us/row over 10000 rows against
-  // a 10us/group merge -> breakeven at 2000 groups.
-  tuner.ObserveAggregate(/*radix=*/true, 10000, 500, 0.030, 0.001);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), 2000u);
 }
 
 TEST_F(PlanCacheTest, TunerIndexReuseHorizonFitsAndClamps) {
@@ -503,21 +452,13 @@ TEST_F(PlanCacheTest, TunerDisabledReturnsBaselinesAndDropsObservations) {
   KnobTunerOptions to = UnitTunerOptions();
   to.enabled = false;
   KnobBaselines kb;
-  kb.morsel_rows = 4096;
-  kb.radix_agg_min_groups = 512;
   kb.index_reuse_horizon = 2.5;
   KnobTuner tuner(to, kb);
 
-  tuner.ObserveMorsel(1000, 0.001);
-  tuner.ObserveAggregate(false, 10000, 100, 0.010, 0.001);
-  tuner.ObserveAggregate(true, 10000, 500, 0.030, 0.001);
   tuner.ObserveIndexReuse(1000, 10);
 
-  EXPECT_EQ(tuner.morsel_rows(), 4096u);
-  EXPECT_EQ(tuner.radix_agg_min_groups(), 512u);
   EXPECT_DOUBLE_EQ(tuner.index_reuse_horizon(), 2.5);
   EXPECT_EQ(tuner.snapshot().refits, 0u);
-  EXPECT_EQ(tuner.snapshot().morsel_samples, 0u);
 }
 
 TEST_F(PlanCacheTest, FootprintCalibratorWarmsAfterMinSamples) {

@@ -131,7 +131,8 @@ TEST(BruteForceJoinTest, VariantsProduceSameMatches) {
   scalar_opt.variant = KernelVariant::kScalar;
   auto ref = SimilarityJoinBrute(left.data(), n, right.data(), n, dim, 0.75f,
                                  scalar_opt);
-  for (const auto v : {KernelVariant::kUnrolled, KernelVariant::kAvx2}) {
+  for (const auto v : {KernelVariant::kUnrolled, KernelVariant::kAvx2,
+                       KernelVariant::kAvx512}) {
     BruteForceOptions opt;
     opt.variant = v;
     auto got =

@@ -244,7 +244,7 @@ TEST_P(QuantRecallTest, RecallAtLeast95VsExactFlat) {
     queries.insert(queries.end(), p.begin(), p.end());
   }
 
-  FlatIndex exact(BestKernelVariant());
+  FlatIndex exact;
   ASSERT_TRUE(exact.Build(data.data(), n, dim).ok());
 
   std::unique_ptr<VectorIndex> index;
@@ -252,13 +252,13 @@ TEST_P(QuantRecallTest, RecallAtLeast95VsExactFlat) {
     case QuantRecallCase::kFlatFp16: {
       QuantizationOptions quant;
       quant.codec = VectorCodecKind::kFp16;
-      index = std::make_unique<FlatIndex>(BestKernelVariant(), quant);
+      index = std::make_unique<FlatIndex>(quant);
       break;
     }
     case QuantRecallCase::kFlatInt8: {
       QuantizationOptions quant;
       quant.codec = VectorCodecKind::kInt8;
-      index = std::make_unique<FlatIndex>(BestKernelVariant(), quant);
+      index = std::make_unique<FlatIndex>(quant);
       break;
     }
     case QuantRecallCase::kHnswFp16: {
@@ -307,7 +307,7 @@ TEST(QuantFootprintTest, CodecsShrinkAsAdvertised) {
   auto footprint = [&](VectorCodecKind kind) {
     QuantizationOptions quant;
     quant.codec = kind;
-    FlatIndex index(BestKernelVariant(), quant);
+    FlatIndex index(quant);
     index.Build(data.data(), n, dim).Check();
     return index.MemoryBytes();
   };
