@@ -183,15 +183,23 @@ void RunParallelTails(bench::JsonReport* json) {
     eo.num_threads = thread_counts.back();
     Engine engine(eo);
     engine.catalog().Put("rows", rows);
-    auto analyzed_sort = engine.ExecuteWithStats(sort_plan).ValueOrDie();
-    auto analyzed_agg = engine.ExecuteWithStats(agg_plan).ValueOrDie();
     std::printf("\n--- phase breakdown at %zu threads ---\n",
                 thread_counts.back());
-    for (const auto* analyzed : {&analyzed_sort, &analyzed_agg}) {
-      for (const auto& slot : analyzed->stats->slots()) {
-        if (slot->name.find("phase:") == std::string::npos) continue;
-        std::printf("%-52s %10.3f ms\n", slot->name.c_str(),
-                    slot->next_seconds.load() * 1e3);
+    for (const PlanPtr& plan : {sort_plan, agg_plan}) {
+      engine.Execute(plan).ValueOrDie();
+      const auto profile = engine.traces().front();
+      const PlanNode& node = *profile->plan();
+      const NodeProfile& p = *profile->node(&node);
+      if (node.kind == PlanKind::kSort) {
+        std::printf("Sort: local sort (%zu runs) %10.3f ms\n", p.sort_runs,
+                    p.sort_local_seconds * 1e3);
+        std::printf("Sort: merge (%zu partitions) %10.3f ms\n",
+                    p.sort_merge_partitions, p.sort_merge_seconds * 1e3);
+      } else if (p.agg_mode != nullptr) {
+        std::printf("Aggregate: accumulate (%s, %zu chunks) %10.3f ms\n",
+                    p.agg_mode, p.agg_chunks, p.agg_accumulate_seconds * 1e3);
+        std::printf("Aggregate: merge %10.3f ms\n",
+                    p.agg_merge_seconds * 1e3);
       }
     }
   }

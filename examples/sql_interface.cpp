@@ -41,14 +41,14 @@ int main() {
   std::printf("=== optimized plan ===\n%s\n",
               sql::ExplainSql(&engine, query).ValueOrDie().c_str());
 
-  // EXPLAIN ANALYZE: run with per-operator instrumentation.
-  auto plan = sql::ParseSql(query).ValueOrDie();
-  auto analyzed = engine.ExecuteWithStats(plan).ValueOrDie();
+  // Every query is profiled by default; the newest profile is the one
+  // EXPLAIN ANALYZE would render for this execution.
+  auto result = sql::ExecuteSql(&engine, query).ValueOrDie();
+  const auto profile = engine.traces().front();
   std::printf("=== result (top 10 by similarity) ===\n%s\n",
-              analyzed.table->ToString(10).c_str());
-  std::printf("=== execution statistics (%.1f ms total) ===\n%s\n",
-              analyzed.total_seconds * 1e3,
-              analyzed.stats->ToString().c_str());
+              result->ToString(10).c_str());
+  std::printf("=== query profile (%.1f ms execute) ===\n%s\n",
+              profile->execute_seconds * 1e3, profile->ToString().c_str());
 
   // A second statement: revenue per consolidated clothing concept.
   auto revenue =

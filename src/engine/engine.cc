@@ -49,8 +49,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
       std::make_unique<IndexManager>(&catalog_, &models_, options_.index);
   index_manager_->EnableAsyncBuilds(background_group_.get());
   metrics_ = std::make_unique<MetricsRegistry>(options_.obs.metrics_enabled);
-  traces_ = std::make_unique<TraceRing>(
-      std::max<std::size_t>(1, options_.obs.trace_ring_capacity));
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache);
   KnobBaselines baselines;
   baselines.index_reuse_horizon = options_.optimizer.index_reuse_horizon;
@@ -164,8 +162,7 @@ Engine::~Engine() {
   pool_.reset();
 }
 
-Result<QueryContext> Engine::MakeContext(const QueryOptions& query,
-                                         StatsCollector* stats) {
+Result<QueryContext> Engine::MakeContext(const QueryOptions& query) {
   // Bounded admission first: a shed query never pins a snapshot, arms a
   // deadline, or reserves budget. With max_active_queries == 0 TryAdmit
   // never sheds (pre-admission behavior).
@@ -193,7 +190,7 @@ Result<QueryContext> Engine::MakeContext(const QueryOptions& query,
   }
 
   QueryContext ctx(catalog_.Snapshot(), std::move(admitted).ValueUnsafe(),
-                   std::move(cancel), stats);
+                   std::move(cancel));
 
   // Memory budget: attached only when some ceiling exists, so the
   // unlimited default keeps every charge site a null check.
@@ -321,11 +318,12 @@ PlanCache::AbsentProbe Engine::PlanCacheAbsentProbe() const {
 }
 
 Result<PlanPtr> Engine::OptimizePlan(QueryContext* ctx, const PlanPtr& plan,
-                                     QueryTrace* trace, std::string* origin) {
-  ScopedSpan span(trace, nullptr, "optimize");
-  auto annotate = [&](const std::string& o) {
-    span.Annotate("plan", o);
-    if (origin != nullptr) *origin = o;
+                                     QueryProfile* profile) {
+  const Timer optimize_timer;
+  auto annotate = [&](const std::string& origin) {
+    if (profile == nullptr) return;
+    profile->plan_origin = origin;
+    profile->optimize_seconds = optimize_timer.Seconds();
   };
   if (!options_.plan_cache.enabled) {
     Optimizer optimizer = MakeOptimizerFor(ctx);
@@ -371,21 +369,15 @@ Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
   CRE_ASSIGN_OR_RETURN(Catalog::VersionedTable vt,
                        ctx->snapshot().GetVersioned(table_name));
   const IndexKey key{table_name, node.column, node.model_name, node.strategy};
-  // Span covers any wait inside the manager: single-flight build joins,
-  // synchronous warm-start disk loads. Driver-thread call site only.
-  ScopedSpan span(ctx->trace(), ctx->trace_parent(),
-                  "index:lookup " + key.ToString());
   auto lookup = index_manager_->GetOrBuildAsync(key);
   if (!lookup.ok()) {
     // Correctness never depends on the cache: a failed lookup/build
     // (e.g. the live table was dropped after this query's snapshot)
     // just means the scanning fallback serves the pinned rows.
-    span.Annotate("outcome", "error-fallback");
     return OperatorPtr();
   }
   IndexManager::AsyncIndex ready = std::move(lookup).ValueUnsafe();
   if (ready.index != nullptr && ready.built_version == vt.version) {
-    span.Annotate("outcome", "index");
     return OperatorPtr(std::make_unique<SemanticIndexSelectOperator>(
         std::move(vt.table), node.column, node.query, std::move(model),
         node.threshold, std::move(ready.index)));
@@ -393,8 +385,6 @@ Result<OperatorPtr> Engine::TryLowerIndexSelect(QueryContext* ctx,
   // Build in flight (the background task will serve future queries), or
   // the ready index was built against a different version than this
   // query's snapshot: serve this query via the scanning fallback.
-  span.Annotate("outcome", ready.build_in_flight ? "build-in-flight"
-                                                 : "version-mismatch");
   return OperatorPtr();
 }
 
@@ -492,34 +482,38 @@ Result<OperatorPtr> Engine::LowerSemanticSelectOver(
       node.threshold, std::move(state)));
 }
 
-Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan) {
+Result<TablePtr> Engine::RunPhysical(QueryContext* ctx, const PlanPtr& plan,
+                                     QueryProfile* profile) {
   // One executor at every dop: with a single worker the driver's morsel
   // maps, sort and aggregate run inline on this thread.
-  ParallelPlanDriver driver(this, ctx);
+  ParallelPlanDriver driver(this, ctx, profile);
   return driver.Run(*plan);
 }
 
-std::shared_ptr<QueryTrace> Engine::AdmitForObs(QueryContext* ctx,
-                                                const char* kind,
-                                                bool force_trace) {
+std::shared_ptr<QueryProfile> Engine::AdmitForObs(QueryContext* ctx,
+                                                  const char* kind,
+                                                  bool force_profile) {
   const std::uint64_t id =
       next_query_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   ctx->set_query_id(id);
   const std::uint64_t every = options_.obs.trace_sample_every;
-  std::shared_ptr<QueryTrace> trace;
-  if (force_trace || (every > 0 && (id - 1) % every == 0)) {
-    trace = std::make_shared<QueryTrace>(id, kind);
-    ctx->set_trace(trace.get());
-    if (metrics_->enabled()) {
-      metrics_->counter("cre_traces_sampled_total")->Increment();
-    }
+  if (!force_profile && (every == 0 || (id - 1) % every != 0)) return nullptr;
+  if (metrics_->enabled()) {
+    metrics_->counter("cre_traces_sampled_total")->Increment();
   }
-  return trace;
+  auto profile = std::make_shared<QueryProfile>(id, kind);
+  profile->dop = pool_->num_threads();
+  return profile;
+}
+
+std::vector<std::shared_ptr<const QueryProfile>> Engine::traces() const {
+  MutexLock lock(profiles_mu_);
+  return {profiles_.rbegin(), profiles_.rend()};
 }
 
 void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
                          const Status& status, std::size_t rows,
-                         std::shared_ptr<QueryTrace> trace) {
+                         std::shared_ptr<QueryProfile> profile) {
   const SchedulingCounters sched = ctx->scheduling();
   if (metrics_->enabled()) {
     metrics_->histogram("cre_query_seconds", {{"kind", kind}})
@@ -547,9 +541,13 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
       metrics_->counter("cre_query_rows_total")->Increment(rows);
     }
   }
-  if (trace != nullptr) {
-    trace->Finish();
-    traces_->Push(trace);
+  if (profile != nullptr) {
+    profile->scheduling = sched;
+    MutexLock lock(profiles_mu_);
+    profiles_.push_back(profile);
+    const std::size_t capacity =
+        std::max<std::size_t>(1, options_.obs.trace_ring_capacity);
+    while (profiles_.size() > capacity) profiles_.pop_front();
   }
   // Feed the tuner the manager's cumulative reuse rate (lookups per
   // distinct key) — the measured form of index_reuse_horizon.
@@ -570,8 +568,8 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
     fields.emplace_back("rows", static_cast<std::uint64_t>(rows));
     fields.emplace_back("queue_wait_seconds", sched.queue_wait_seconds);
     fields.emplace_back("status", status.ok() ? "ok" : status.message());
-    if (trace != nullptr) {
-      fields.emplace_back("trace", trace->ToCompactString());
+    if (profile != nullptr) {
+      fields.emplace_back("profile", profile->ToCompactString());
     }
     LogStructured(LogLevel::kWarning, "slow_query", fields);
   }
@@ -579,25 +577,25 @@ void Engine::FinishQuery(QueryContext* ctx, const char* kind, double seconds,
 
 Result<TablePtr> Engine::RunTracked(QueryContext* ctx, const PlanPtr& plan,
                                     bool optimize, const char* kind) {
-  std::shared_ptr<QueryTrace> trace = AdmitForObs(ctx, kind);
+  std::shared_ptr<QueryProfile> profile = AdmitForObs(ctx, kind);
   const Timer timer;
   const Result<PlanPtr> physical =
-      optimize ? OptimizePlan(ctx, plan, trace.get(), /*origin=*/nullptr)
+      optimize ? OptimizePlan(ctx, plan, profile.get())
                : Result<PlanPtr>(plan);
-  return ExecuteTracked(ctx, physical, kind, timer, std::move(trace));
+  return ExecuteTracked(ctx, physical, kind, timer, std::move(profile));
 }
 
 Result<TablePtr> Engine::ExecuteTracked(QueryContext* ctx,
                                         const Result<PlanPtr>& physical,
                                         const char* kind, const Timer& timer,
-                                        std::shared_ptr<QueryTrace> trace) {
+                                        std::shared_ptr<QueryProfile> profile) {
   std::size_t rows = 0;
   Result<TablePtr> result = [&]() -> Result<TablePtr> {
     CRE_RETURN_NOT_OK(physical.status());
-    ScopedSpan span(trace.get(), nullptr, "execute");
-    ctx->set_trace_parent(span.span());
-    auto r = RunPhysical(ctx, physical.ValueUnsafe());
-    ctx->set_trace_parent(nullptr);
+    if (profile != nullptr) profile->Bind(physical.ValueUnsafe());
+    const Timer execute_timer;
+    auto r = RunPhysical(ctx, physical.ValueUnsafe(), profile.get());
+    if (profile != nullptr) profile->execute_seconds = execute_timer.Seconds();
     if (r.ok()) rows = r.ValueUnsafe()->num_rows();
     return r;
   }();
@@ -610,7 +608,7 @@ Result<TablePtr> Engine::ExecuteTracked(QueryContext* ctx,
     result = Status::DeadlineExceeded("query deadline exceeded");
   }
   FinishQuery(ctx, kind, timer.Seconds(), result.status(), rows,
-              std::move(trace));
+              std::move(profile));
   return result;
 }
 
@@ -620,7 +618,7 @@ Result<TablePtr> Engine::ExecuteUnoptimized(const PlanPtr& plan) {
 
 Result<TablePtr> Engine::ExecuteUnoptimized(const PlanPtr& plan,
                                             const QueryOptions& query) {
-  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, /*stats=*/nullptr));
+  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query));
   return RunTracked(&ctx, plan, /*optimize=*/false, "unoptimized");
 }
 
@@ -630,37 +628,8 @@ Result<TablePtr> Engine::Execute(const PlanPtr& plan) {
 
 Result<TablePtr> Engine::Execute(const PlanPtr& plan,
                                  const QueryOptions& query) {
-  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, /*stats=*/nullptr));
+  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query));
   return RunTracked(&ctx, plan, /*optimize=*/true, "execute");
-}
-
-Result<Engine::AnalyzedResult> Engine::ExecuteWithStats(const PlanPtr& plan) {
-  return ExecuteWithStats(plan, QueryOptions{});
-}
-
-Result<Engine::AnalyzedResult> Engine::ExecuteWithStats(
-    const PlanPtr& plan, const QueryOptions& query) {
-  AnalyzedResult out;
-  out.stats = std::make_shared<StatsCollector>();
-  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, out.stats.get()));
-
-  Timer timer;
-  auto result = RunTracked(&ctx, plan, /*optimize=*/true, "stats");
-  out.total_seconds = timer.Seconds();
-  if (!result.ok()) return result.status();
-  out.table = std::move(result).ValueUnsafe();
-
-  // Surface the serving layer next to the operator timings: how long
-  // this query's tasks queued behind concurrently admitted work.
-  out.scheduling = ctx.scheduling();
-  out.stats
-      ->AddSlot("Scheduler: queue wait (" +
-                std::to_string(out.scheduling.tasks_dispatched) +
-                " task dispatches)")
-      ->AddBatch(0, out.scheduling.queue_wait_seconds);
-  out.stats->AddSlot("Scheduler: admission wait")
-      ->AddBatch(0, out.scheduling.admission_seconds);
-  return out;
 }
 
 Result<std::string> Engine::Explain(const PlanPtr& plan) {
@@ -725,53 +694,6 @@ void CollectIndexKeys(const PlanNode& node, std::vector<IndexKey>* out) {
   for (const PlanPtr& child : node.children) CollectIndexKeys(*child, out);
 }
 
-/// Recursive measured-plan rendering: each node's Describe() line plus the
-/// executed counters looked up by plan-node identity, with breaker phase
-/// breakdowns as sub-lines.
-void RenderAnalyzedNode(const PlanNode& node, int depth,
-                        const StatsCollector& stats, std::size_t engine_dop,
-                        std::string* out) {
-  out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  *out += node.Describe();
-  const std::size_t dop =
-      node.kind == PlanKind::kSemanticGroupBy ? 1 : engine_dop;
-  if (OperatorStats* slot = stats.FindSlot(&node)) {
-    // Summed over every per-morsel instance on every worker, child time
-    // included: CPU time, not a wall interval.
-    const double cpu =
-        slot->open_seconds.load(std::memory_order_relaxed) +
-        slot->next_seconds.load(std::memory_order_relaxed);
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "  [rows=%zu batches=%zu cpu=%.3fms dop=%zu]",
-                  slot->rows.load(std::memory_order_relaxed),
-                  slot->batches.load(std::memory_order_relaxed), cpu * 1e3,
-                  dop);
-    *out += buf;
-  } else {
-    // Nodes folded into a parent's execution (e.g. the Sort beneath a
-    // top-k Limit) carry no slot of their own.
-    *out += "  [folded]";
-  }
-  *out += "\n";
-  for (const auto& phase : stats.PhasesFor(&node)) {
-    if (phase.first == 0) continue;
-    out->append(static_cast<std::size_t>(depth) * 2 + 2, ' ');
-    // Phase slot names carry their own "  Sort phase: ..." indent; trim it.
-    const std::string& name = phase.second->name;
-    std::size_t start = name.find_first_not_of(' ');
-    if (start == std::string::npos) start = 0;
-    char buf[96];
-    std::snprintf(
-        buf, sizeof(buf), "%s  wall=%.3fms\n", name.substr(start).c_str(),
-        phase.second->next_seconds.load(std::memory_order_relaxed) * 1e3);
-    *out += buf;
-  }
-  for (const PlanPtr& child : node.children) {
-    RenderAnalyzedNode(*child, depth + 1, stats, engine_dop, out);
-  }
-}
-
 }  // namespace
 
 Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan) {
@@ -780,14 +702,11 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan) {
 
 Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
                                            const QueryOptions& query) {
-  StatsCollector stats;
-  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query, &stats));
-  std::shared_ptr<QueryTrace> trace =
-      AdmitForObs(&ctx, "explain_analyze", /*force_trace=*/true);
-
-  std::string plan_origin;
-  const Result<PlanPtr> planned =
-      OptimizePlan(&ctx, plan, trace.get(), &plan_origin);
+  CRE_ASSIGN_OR_RETURN(QueryContext ctx, MakeContext(query));
+  std::shared_ptr<QueryProfile> profile =
+      AdmitForObs(&ctx, "explain_analyze", /*force_profile=*/true);
+  const Timer timer;
+  const Result<PlanPtr> planned = OptimizePlan(&ctx, plan, profile.get());
 
   // Residency of every managed index the plan consults, probed before and
   // after execution — the rendering shows the transition the execution
@@ -803,34 +722,21 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
     residency_before.push_back(index_manager_->Residency(key));
   }
 
-  // The header's wall covers execution only; planning shows in the trace.
-  const Timer timer;
   CRE_ASSIGN_OR_RETURN(
       TablePtr table,
-      ExecuteTracked(&ctx, planned, "explain_analyze", timer, trace));
-  const double total_seconds = timer.Seconds();
-  const std::size_t rows = table->num_rows();
+      ExecuteTracked(&ctx, planned, "explain_analyze", timer, profile));
   const PlanPtr& optimized = planned.ValueUnsafe();
 
   const std::size_t dop = pool_->num_threads();
   std::string out;
-  char head[96];
+  char head[160];
   std::snprintf(head, sizeof(head),
-                "EXPLAIN ANALYZE  wall=%.3fms rows=%zu dop=%zu\n",
-                total_seconds * 1e3, rows, dop);
+                "EXPLAIN ANALYZE  wall=%.3fms rows=%zu dop=%zu\n"
+                "plan: %s  optimize wall=%.3fms\n",
+                profile->execute_seconds * 1e3, table->num_rows(), dop,
+                profile->plan_origin.c_str(), profile->optimize_seconds * 1e3);
   out += head;
-  out += "plan: " + plan_origin + "\n";
-  RenderAnalyzedNode(*optimized, 0, stats, dop, &out);
-
-  const SchedulingCounters sched = ctx.scheduling();
-  char sched_line[160];
-  std::snprintf(sched_line, sizeof(sched_line),
-                "scheduling: tasks submitted=%llu dispatched=%llu "
-                "queue wait (summed over tasks)=%.3fms admission=%.3fms\n",
-                static_cast<unsigned long long>(sched.tasks_submitted),
-                static_cast<unsigned long long>(sched.tasks_dispatched),
-                sched.queue_wait_seconds * 1e3, sched.admission_seconds * 1e3);
-  out += sched_line;
+  out += profile->ToString();
 
   if (ctx.cancel_flag() != nullptr && ctx.cancel_flag()->deadline_ns() != 0) {
     char deadline_line[96];
@@ -866,7 +772,6 @@ Result<std::string> Engine::ExplainAnalyze(const PlanPtr& plan,
 
   out += DescribePipelines(*optimized, dop,
                            EffectiveOptimizerOptions().radix_agg_min_groups);
-  out += "trace:\n" + trace->ToString();
   return out;
 }
 

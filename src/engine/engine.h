@@ -3,21 +3,22 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/mutex.h"
 #include "core/resource_governor.h"
 #include "core/thread_pool.h"
 #include "core/timer.h"
 #include "embed/model_registry.h"
 #include "engine/query_context.h"
+#include "engine/query_profile.h"
 #include "engine/scheduler.h"
 #include "exec/operator.h"
-#include "exec/stats.h"
 #include "index/index_manager.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "optimizer/knob_tuner.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_cache.h"
@@ -28,20 +29,20 @@
 
 namespace cre {
 
-/// Telemetry knobs (src/obs): the metrics registry, per-query trace
-/// sampling, and the slow-query log.
+/// Telemetry knobs: the metrics registry, per-query profile sampling,
+/// and the slow-query log.
 struct ObsOptions {
   /// Master switch for the metrics registry. Disabled, every instrument
   /// update is a relaxed load + branch and snapshots are empty.
   bool metrics_enabled = true;
-  /// Trace every Nth admitted query (1 = trace all, 0 = tracing off).
-  /// Untraced queries carry a null QueryTrace* — every span site is a
-  /// branch.
+  /// Profile every Nth admitted query (1 = all, 0 = profiling off; EXPLAIN
+  /// ANALYZE always profiles). An unprofiled query wraps no operator in a
+  /// timer.
   std::uint64_t trace_sample_every = 1;
-  /// Finished traces retained in the in-memory ring (Engine::traces()).
+  /// Finished profiles retained in the in-memory ring (Engine::traces()).
   std::size_t trace_ring_capacity = 64;
   /// Queries slower than this emit a structured `event=slow_query` log
-  /// line (with the compact trace when sampled). 0 disables.
+  /// line (with the compact profile when sampled). 0 disables.
   double slow_query_seconds = 1.0;
 };
 
@@ -52,8 +53,8 @@ struct EngineOptions {
   /// 1 = single-threaded).
   std::size_t num_threads = 0;
   /// Rows per morsel for the parallel pipeline driver: the scan batch
-  /// size, the aggregate chunk unit, and the ceiling of the driver's
-  /// morsel-size rule (see ParallelPlanDriver).
+  /// size and the ceiling of the driver's morsel-size rule, which cuts
+  /// both morsel maps and aggregate chunks (see ParallelPlanDriver).
   std::size_t morsel_rows = 8 * 1024;
   /// Persistent vector-index subsystem: cache/eviction budget, build
   /// parameters, and async (background) build policy for managed indexes
@@ -134,8 +135,9 @@ class Engine {
   /// text.
   MetricsRegistry* metrics() { return metrics_.get(); }
   const MetricsRegistry* metrics() const { return metrics_.get(); }
-  /// Ring of recently finished query traces (sampled per ObsOptions).
-  TraceRing* traces() { return traces_.get(); }
+  /// Profiles of recently finished sampled queries, newest first (at
+  /// most ObsOptions::trace_ring_capacity).
+  std::vector<std::shared_ptr<const QueryProfile>> traces() const;
 
   /// The parameterized plan cache (never null; gated by
   /// options().plan_cache.enabled).
@@ -160,22 +162,6 @@ class Engine {
   /// optional cooperative cancellation handle.
   Result<TablePtr> Execute(const PlanPtr& plan, const QueryOptions& query);
 
-  /// Execution result with per-operator counters (EXPLAIN ANALYZE).
-  struct AnalyzedResult {
-    TablePtr table;
-    std::shared_ptr<StatsCollector> stats;
-    double total_seconds = 0;
-    /// Serving-layer counters for this query: queue wait, admission
-    /// latency, task dispatches (zero for work a single-worker engine
-    /// runs inline on the driver thread).
-    SchedulingCounters scheduling;
-  };
-
-  /// Optimizes and executes with per-operator instrumentation.
-  Result<AnalyzedResult> ExecuteWithStats(const PlanPtr& plan);
-  Result<AnalyzedResult> ExecuteWithStats(const PlanPtr& plan,
-                                          const QueryOptions& query);
-
   /// Executes the plan exactly as written (the "analyst's hand-rolled
   /// pipeline") — the baseline side of E3/E8. Uses the same parallel
   /// driver as Execute, just without the optimizer pass.
@@ -188,12 +174,14 @@ class Engine {
   /// background builds) the query would be admitted into.
   Result<std::string> Explain(const PlanPtr& plan);
 
-  /// EXPLAIN ANALYZE: optimizes and *executes* the plan (always traced,
-  /// always instrumented), then renders the plan tree annotated with
-  /// measured per-node wall time, rows, batches, and dop — plus breaker
-  /// phase breakdowns, scheduling waits, managed-index residency
-  /// transitions observed across the execution, the pipeline routing,
-  /// and the query's span tree.
+  /// EXPLAIN ANALYZE: optimizes and *executes* the plan (always
+  /// profiled), then renders its QueryProfile: the plan tree with each
+  /// node's rows, batches, dop and time — `self=`/`incl=` CPU summed over
+  /// workers, or `wall=` for an internally parallel breaker — with
+  /// breaker phases (wall) as sub-lines, the driver steps' wall, and the
+  /// scheduling counters. Then deadline slack, governor bytes, the
+  /// managed-index residency transitions observed across the execution
+  /// and the pipeline routing.
   Result<std::string> ExplainAnalyze(const PlanPtr& plan);
   Result<std::string> ExplainAnalyze(const PlanPtr& plan,
                                      const QueryOptions& query);
@@ -245,40 +233,40 @@ class Engine {
   /// `query.priority` under the bounded-admission policy (may shed with
   /// kResourceExhausted), arms the deadline token, and attaches the
   /// query's memory budget.
-  Result<QueryContext> MakeContext(const QueryOptions& query,
-                                   StatsCollector* stats);
+  Result<QueryContext> MakeContext(const QueryOptions& query);
   /// Registers the pull-style metric collectors (scheduler, index
   /// manager, governor, plan cache, knob tuner, embed caches) on
   /// metrics_.
   void RegisterCollectors();
   /// Allocates the query id and, when this query is sampled (or `force`),
-  /// its trace. Wires both into `ctx`.
-  std::shared_ptr<QueryTrace> AdmitForObs(QueryContext* ctx, const char* kind,
-                                          bool force_trace = false);
+  /// its profile (null otherwise).
+  std::shared_ptr<QueryProfile> AdmitForObs(QueryContext* ctx,
+                                            const char* kind,
+                                            bool force_profile = false);
   /// Telemetry tail of every query: latency/queue-wait histograms, status
-  /// counters, trace ring push, slow-query log.
+  /// counters, profile ring push, slow-query log.
   void FinishQuery(QueryContext* ctx, const char* kind, double seconds,
                    const Status& status, std::size_t rows,
-                   std::shared_ptr<QueryTrace> trace);
-  /// Shared optimize → execute path with tracing + telemetry around it.
+                   std::shared_ptr<QueryProfile> profile);
+  /// Shared optimize → execute path with profiling + telemetry around it.
   Result<TablePtr> RunTracked(QueryContext* ctx, const PlanPtr& plan,
                               bool optimize, const char* kind);
   /// The execute tail every query entry point (RunTracked, EXPLAIN
   /// ANALYZE) shares: runs `physical` (or reports its planning error)
-  /// under an "execute" span, surfaces a deadline-tripped cancel as
+  /// with `profile` bound to it, surfaces a deadline-tripped cancel as
   /// kDeadlineExceeded, and records the query via FinishQuery with the
   /// wall `timer` has measured.
   Result<TablePtr> ExecuteTracked(QueryContext* ctx,
                                   const Result<PlanPtr>& physical,
                                   const char* kind, const Timer& timer,
-                                  std::shared_ptr<QueryTrace> trace);
+                                  std::shared_ptr<QueryProfile> profile);
   /// The planning front door shared by Execute and EXPLAIN ANALYZE:
   /// plan-cache lookup (when enabled) with single-flight population,
-  /// falling back to a full optimizer pass. `origin` (optional) receives
-  /// "cached(stamp=N)" or "optimized" for EXPLAIN-style annotation; the
-  /// same string is annotated onto `trace`'s optimize span.
+  /// falling back to a full optimizer pass. A non-null `profile` records
+  /// the optimize time and the plan origin ("cached(stamp=N)" or
+  /// "optimized").
   Result<PlanPtr> OptimizePlan(QueryContext* ctx, const PlanPtr& plan,
-                               QueryTrace* trace, std::string* origin);
+                               QueryProfile* profile);
   /// Serialized effective optimizer knobs — part of every plan-cache key,
   /// so a knob refit (or reconfiguration) re-plans instead of serving a
   /// plan chosen under different costs.
@@ -295,8 +283,9 @@ class Engine {
   CostParams IndexCostParams() const;
   /// Executes a (possibly optimized) plan through the morsel-driven
   /// parallel driver; with one worker thread it runs inline on the
-  /// calling thread.
-  Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan);
+  /// calling thread. `profile`, when given, must be bound to `plan`.
+  Result<TablePtr> RunPhysical(QueryContext* ctx, const PlanPtr& plan,
+                               QueryProfile* profile = nullptr);
 
   EngineOptions options_;
   Catalog catalog_;
@@ -311,7 +300,10 @@ class Engine {
   std::shared_ptr<QueryScheduler::Group> background_group_;
   std::unique_ptr<IndexManager> index_manager_;
   std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<TraceRing> traces_;
+  mutable Mutex profiles_mu_;
+  /// Newest at the back.
+  std::deque<std::shared_ptr<const QueryProfile>> profiles_
+      CRE_GUARDED_BY(profiles_mu_);
   /// Engine-wide memory accounting; IndexManager and per-query budgets
   /// charge against it (safe at destruction: ~Engine drains pool_ first,
   /// so no build task outlives the governor).

@@ -27,14 +27,13 @@ constexpr std::size_t kMinMorselRows = 1024;
 
 }  // namespace
 
-ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx)
+ParallelPlanDriver::ParallelPlanDriver(Engine* engine, QueryContext* ctx,
+                                       QueryProfile* profile)
     : engine_(engine),
       ctx_(ctx),
       runner_(ctx->runner()),
       morsel_rows_(std::max<std::size_t>(1, engine->options().morsel_rows)),
-      stats_(ctx->stats()),
-      trace_(ctx->trace()),
-      span_parent_(ctx->trace_parent()) {}
+      profile_(profile) {}
 
 MorselOptions ParallelPlanDriver::MorselMapOptions(std::size_t rows) const {
   MorselOptions options;
@@ -57,10 +56,45 @@ Result<TablePtr> ParallelPlanDriver::Run(const PlanNode& root) {
 }
 
 OperatorPtr ParallelPlanDriver::Instrument(const PlanNode* node,
-                                           OperatorPtr op) {
-  if (stats_ == nullptr) return op;
-  OperatorStats* slot = stats_->SlotFor(node, op->name());
-  return std::make_unique<InstrumentedOperator>(std::move(op), slot);
+                                           OperatorPtr op, bool wall) {
+  NodeProfile* record = Profile(node);
+  if (record == nullptr) return op;
+  return std::make_unique<ProfiledOperator>(std::move(op), record, wall);
+}
+
+void ParallelPlanDriver::LinkChain(const PipelineSegment& segment,
+                                   NodeProfile* sink) const {
+  if (profile_ == nullptr) return;
+  // BuildChain instruments a Scan source and every op; each pulls the one
+  // below it.
+  NodeProfile* below = segment.source->kind == PlanKind::kScan
+                           ? Profile(segment.source)
+                           : nullptr;
+  for (const PlanNode* op : segment.ops) {
+    NodeProfile* record = Profile(op);
+    record->inner = below;
+    below = record;
+  }
+  if (sink != nullptr) sink->inner = below;
+}
+
+void ParallelPlanDriver::AddStep(const std::string& name,
+                                 std::int64_t start_ns) const {
+  profile_->AddStep(name,
+                    static_cast<double>(ProfileNowNs() - start_ns) * 1e-9);
+}
+
+Result<TablePtr> ParallelPlanDriver::RunOperator(const PlanNode& node,
+                                                 OperatorPtr op,
+                                                 std::int64_t start_ns) {
+  // DetectScan and SemanticJoin parallelize internally: the driver sees
+  // their wall, not their workers' CPU.
+  op = Instrument(&node, std::move(op),
+                  /*wall=*/node.kind == PlanKind::kDetectScan ||
+                      node.kind == PlanKind::kSemanticJoin);
+  CRE_ASSIGN_OR_RETURN(TablePtr out, ExecuteToTable(op.get()));
+  if (profile_ != nullptr) AddStep(SegmentName({&node, {}}), start_ns);
+  return out;
 }
 
 Result<TablePtr> ParallelPlanDriver::MaterializeSource(
@@ -78,10 +112,10 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
       return RunSort(source, /*limit_hint=*/0);
     case PlanKind::kDetectScan: {
       // The operator parallelizes detection over images internally.
+      const std::int64_t start = ProfileNowNs();
       CRE_ASSIGN_OR_RETURN(OperatorPtr op,
                            engine_->LowerNodeOver(ctx_, source, {}));
-      op = Instrument(&source, std::move(op));
-      return ExecuteToTable(op.get());
+      return RunOperator(source, std::move(op), start);
     }
     case PlanKind::kSemanticSelect: {
       // Only the index-backed form reaches here (the scanning form is
@@ -91,12 +125,10 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
       // mismatch against the snapshot) the brute-force fallback runs as
       // a scanning segment through the morsel scheduler — a cold query
       // is served parallel and never blocks on the build.
+      const std::int64_t start = ProfileNowNs();
       CRE_ASSIGN_OR_RETURN(OperatorPtr op,
                            engine_->TryLowerIndexSelect(ctx_, source));
-      if (op != nullptr) {
-        op = Instrument(&source, std::move(op));
-        return ExecuteToTable(op.get());
-      }
+      if (op != nullptr) return RunOperator(source, std::move(op), start);
       PipelineSegment fallback;
       fallback.source = source.children[0].get();
       fallback.ops.push_back(&source);
@@ -107,20 +139,21 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
       // operator serially over it. Feeding morsels in order keeps the
       // output identical at every dop.
       CRE_ASSIGN_OR_RETURN(TablePtr input, Run(*source.children[0]));
+      const std::int64_t start = ProfileNowNs();
       std::vector<OperatorPtr> children;
       children.push_back(
           std::make_unique<TableScanOperator>(std::move(input), morsel_rows_));
       CRE_ASSIGN_OR_RETURN(
           OperatorPtr op,
           engine_->LowerNodeOver(ctx_, source, std::move(children)));
-      op = Instrument(&source, std::move(op));
-      return ExecuteToTable(op.get());
+      return RunOperator(source, std::move(op), start);
     }
     case PlanKind::kSemanticJoin: {
       // Both inputs materialize in parallel; the join's probe loop then
       // spreads over the pool internally (vecsim splits the probe side).
       CRE_ASSIGN_OR_RETURN(TablePtr left, Run(*source.children[0]));
       CRE_ASSIGN_OR_RETURN(TablePtr right, Run(*source.children[1]));
+      const std::int64_t start = ProfileNowNs();
       std::vector<OperatorPtr> children;
       children.push_back(
           std::make_unique<TableScanOperator>(std::move(left), morsel_rows_));
@@ -129,8 +162,7 @@ Result<TablePtr> ParallelPlanDriver::MaterializeSource(
       CRE_ASSIGN_OR_RETURN(
           OperatorPtr op,
           engine_->LowerNodeOver(ctx_, source, std::move(children)));
-      op = Instrument(&source, std::move(op));
-      return ExecuteToTable(op.get());
+      return RunOperator(source, std::move(op), start);
     }
     default:
       return Status::Internal("unexpected pipeline source kind '" +
@@ -144,12 +176,18 @@ Result<ParallelPlanDriver::JoinStates> ParallelPlanDriver::BuildJoinStates(
   for (const PlanNode* op : segment.ops) {
     if (op->kind != PlanKind::kJoin) continue;
     CRE_ASSIGN_OR_RETURN(TablePtr build, Run(*op->children[1]));
+    const std::int64_t start = ProfileNowNs();
     CRE_ASSIGN_OR_RETURN(
         std::shared_ptr<HashJoinTable> table,
         HashJoinTable::Build(std::move(build), op->right_key,
                              ctx_->budget_handle(),
                              engine_->knob_tuner()->footprints()));
     joins.emplace(op, std::move(table));
+    if (NodeProfile* record = Profile(op)) {
+      record->join_build_seconds +=
+          static_cast<double>(ProfileNowNs() - start) * 1e-9;
+      AddStep("HashJoin build", start);
+    }
   }
   return joins;
 }
@@ -162,9 +200,7 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
     CRE_ASSIGN_OR_RETURN(EmbeddingModelPtr model,
                          engine_->models().Get(op->model_name));
     const std::vector<std::string> queries = op->SelectQueries();
-    SpanScope span(this, "embed:queries");
-    span.Annotate("model", op->model_name);
-    span.Annotate("queries", std::to_string(queries.size()));
+    const std::int64_t start = ProfileNowNs();
     CRE_RETURN_NOT_OK(CRE_INJECT_FAULT("embed.query"));
     // The shared state outlives this scope (every per-morsel operator
     // instance holds it), so charge the query matrix without a scoped
@@ -176,6 +212,11 @@ Result<ParallelPlanDriver::SelectStates> ParallelPlanDriver::BuildSelectStates(
     }
     selects.emplace(op, MakeSemanticSelectState(*model, queries,
                                                 ctx_->budget_handle()));
+    if (NodeProfile* record = Profile(op)) {
+      record->embed_queries += queries.size();
+      record->embed_queries_seconds +=
+          static_cast<double>(ProfileNowNs() - start) * 1e-9;
+    }
   }
   return selects;
 }
@@ -186,7 +227,7 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
   const PlanNode& source = *segment.source;
   OperatorPtr cur = std::make_unique<TableScanOperator>(slice, morsel_rows_);
   if (source.kind == PlanKind::kScan) {
-    // A pushed-down predicate shares the Scan's stats slot: one
+    // A pushed-down predicate shares the Scan's profile record: one
     // Filter-over-Scan operator per morsel, one EXPLAIN ANALYZE node.
     if (source.predicate != nullptr) {
       cur = std::make_unique<FilterOperator>(std::move(cur),
@@ -215,67 +256,64 @@ Result<OperatorPtr> ParallelPlanDriver::BuildChain(
 Result<TablePtr> ParallelPlanDriver::RunSegment(
     const PipelineSegment& segment) {
   CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-  SpanScope span(this,
-                 std::string("pipeline:") + PlanKindName(segment.source->kind));
   CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
   // Breaker outputs are freshly materialized tables the caller may own
   // outright. A bare Scan must still flow through the morsel map: it
   // copies (the snapshot table must not alias into query results) and it
-  // records Scan stats.
+  // records the Scan's profile.
   if (segment.ops.empty() && segment.source->kind != PlanKind::kScan) {
     return base;
   }
 
   CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
+  const std::int64_t start = ProfileNowNs();
   CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
-  return MorselParallelMap(
-      base,
-      [&](std::size_t, const TablePtr& slice) {
-        return BuildChain(segment, slice, joins, selects);
-      },
-      MorselMapOptions(base->num_rows()));
+  LinkChain(segment, /*sink=*/nullptr);
+  CRE_ASSIGN_OR_RETURN(
+      TablePtr out,
+      MorselParallelMap(
+          base,
+          [&](std::size_t, const TablePtr& slice) {
+            return BuildChain(segment, slice, joins, selects);
+          },
+          MorselMapOptions(base->num_rows())));
+  if (profile_ != nullptr) AddStep(SegmentName(segment), start);
+  return out;
 }
 
 Result<TablePtr> ParallelPlanDriver::RunSort(const PlanNode& sort,
                                              std::size_t limit_hint) {
-  Timer timer;
   CRE_ASSIGN_OR_RETURN(TablePtr input, Run(*sort.children[0]));
   CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-  SpanScope span(this, "sort:" + sort.sort_key);
+  const std::int64_t start = ProfileNowNs();
   SortPhaseTimings timings;
   CRE_ASSIGN_OR_RETURN(
       TablePtr out,
       SortTable(input, sort.sort_key, sort.sort_ascending, runner_,
                 limit_hint, &timings, ctx_->budget(),
                 engine_->knob_tuner()->footprints()));
-  span.Annotate("rows", std::to_string(out->num_rows()));
-  span.Annotate("runs", std::to_string(timings.runs));
-  span.Annotate("local_sort_ms",
-                std::to_string(timings.local_sort_seconds * 1e3));
-  span.Annotate("merge_ms", std::to_string(timings.merge_seconds * 1e3));
-  if (stats_ != nullptr) {
-    stats_->SlotFor(&sort, "Sort(" + sort.sort_key + ")")
-        ->AddBatch(out->num_rows(), timer.Seconds());
-    stats_->SlotFor(&sort, 1,
-                    "  Sort phase: local sort (" +
-                        std::to_string(timings.runs) + " runs)")
-        ->AddBatch(0, timings.local_sort_seconds);
-    stats_->SlotFor(&sort, 2,
-                    "  Sort phase: merge (" +
-                        std::to_string(timings.merge_partitions) +
-                        " partitions)")
-        ->AddBatch(0, timings.merge_seconds);
+  if (NodeProfile* record = Profile(&sort)) {
+    // The sort parallelizes internally, so the driver sees its wall.
+    record->wall_ns.fetch_add(ProfileNowNs() - start,
+                              std::memory_order_relaxed);
+    record->AddOutput(out->num_rows());
+    record->sort_local_seconds = timings.local_sort_seconds;
+    record->sort_merge_seconds = timings.merge_seconds;
+    record->sort_runs = timings.runs;
+    record->sort_merge_partitions = timings.merge_partitions;
+    AddStep(SegmentName({&sort, {}}), start);
   }
   return out;
 }
 
 Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
   const PlanNode& child = *limit.children[0];
-  Timer timer;
+  NodeProfile* record = Profile(&limit);
   if (child.kind == PlanKind::kSort && limit.limit == 0) {
     // LIMIT 0 needs only the schema; skip the sort (order of zero rows
     // is moot), not just its gather.
     CRE_ASSIGN_OR_RETURN(TablePtr input, Run(*child.children[0]));
+    if (record != nullptr) record->AddOutput(0);
     return input->Slice(0, 0);
   }
   if (child.kind == PlanKind::kSort) {
@@ -285,11 +323,7 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
     if (sorted->num_rows() > limit.limit) {
       sorted = sorted->Slice(0, limit.limit);
     }
-    if (stats_ != nullptr) {
-      stats_->SlotFor(&limit, "Limit(" + std::to_string(limit.limit) +
-                                  ") [top-k sort]")
-          ->AddBatch(sorted->num_rows(), timer.Seconds());
-    }
+    if (record != nullptr) record->AddOutput(sorted->num_rows());
     return sorted;
   }
 
@@ -298,7 +332,9 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
   PipelineSegment segment = DecomposePipeline(child);
   CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
   CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
+  const std::int64_t start = ProfileNowNs();
   CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
+  LinkChain(segment, /*sink=*/nullptr);
   MorselBudgetStats budget;
   CRE_ASSIGN_OR_RETURN(
       TablePtr out,
@@ -308,37 +344,45 @@ Result<TablePtr> ParallelPlanDriver::RunLimit(const PlanNode& limit) {
             return BuildChain(segment, slice, joins, selects);
           },
           limit.limit, MorselMapOptions(base->num_rows()), &budget));
-  if (stats_ != nullptr) {
-    stats_->SlotFor(&limit,
-                    "Limit(" + std::to_string(limit.limit) +
-                        ") [shared row budget: " +
-                        std::to_string(budget.morsels_run) + "/" +
-                        std::to_string(budget.morsels_total) +
-                        " morsels run]")
-        ->AddBatch(out->num_rows(), timer.Seconds());
+  if (record != nullptr) {
+    record->AddOutput(out->num_rows());
+    record->limit_morsels_run = budget.morsels_run;
+    record->limit_morsels_total = budget.morsels_total;
+    AddStep(SegmentName(segment) + " => Limit", start);
   }
   return out;
 }
 
 Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
-  Timer timer;
   PipelineSegment segment = DecomposePipeline(*agg.children[0]);
   CRE_ASSIGN_OR_RETURN(TablePtr base, MaterializeSource(*segment.source));
   CRE_ASSIGN_OR_RETURN(JoinStates joins, BuildJoinStates(segment));
+  const std::int64_t step_start = ProfileNowNs();
   CRE_ASSIGN_OR_RETURN(SelectStates selects, BuildSelectStates(segment));
+  NodeProfile* record = Profile(&agg);
+  LinkChain(segment, record);
+  // The aggregate's CPU covers everything it does on any thread: the
+  // prototype below, every accumulate task (which pulls the chain) and
+  // the merge.
+  auto add_cpu = [record](std::int64_t start) {
+    if (record != nullptr) record->AddCpu(ProfileNowNs() - start);
+  };
 
   // Learn the input schema of the aggregate from a zero-row prototype of
   // the child chain (also surfaces lowering errors before fan-out).
+  const std::int64_t prototype_start = ProfileNowNs();
   CRE_ASSIGN_OR_RETURN(OperatorPtr prototype,
                        BuildChain(segment, base->Slice(0, 0), joins, selects));
   CRE_RETURN_NOT_OK(prototype->Open());
+  add_cpu(prototype_start);
   const Schema input_schema = prototype->output_schema();
 
   const std::size_t n = base->num_rows();
-  // Chunk boundaries are multiples of the configured morsel size, so the
-  // group-merge insertion order (and the output row order) is fixed by
-  // (rows, dop, EngineOptions::morsel_rows).
-  const std::size_t num_morsels = (n + morsel_rows_ - 1) / morsel_rows_;
+  // Chunks are runs of whole morsels cut by the driver's morsel-size
+  // rule, so the group-merge insertion order (and the output row order)
+  // is fixed by (rows, dop, EngineOptions::morsel_rows).
+  const std::size_t morsel = MorselMapOptions(n).morsel_rows;
+  const std::size_t num_morsels = (n + morsel - 1) / morsel;
   const bool parallel =
       num_morsels > 1 && runner_ != nullptr && runner_->num_threads() > 1;
   // High estimated group cardinality flips accumulation to the two-phase
@@ -401,7 +445,22 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     }
   };
 
+  // Records the output and the phases once the aggregate is done.
+  auto finish = [&](const TablePtr& out, std::size_t chunks,
+                    std::size_t partitions, double accumulate_seconds,
+                    double merge_seconds) {
+    if (record == nullptr) return;
+    record->AddOutput(out->num_rows());
+    record->agg_mode = use_radix ? "radix" : "hash";
+    record->agg_chunks = chunks;
+    record->agg_partitions = partitions;
+    record->agg_accumulate_seconds = accumulate_seconds;
+    record->agg_merge_seconds = merge_seconds;
+    AddStep(SegmentName(segment) + " => Aggregate", step_start);
+  };
+
   if (!parallel) {
+    const std::int64_t accumulate_start = ProfileNowNs();
     GroupedAggregationState total;
     CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
     CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
@@ -414,26 +473,28 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       CRE_RETURN_NOT_OK(total.Consume(*batch));
     }
     observe_state(total.num_groups(), total.MemoryBytes());
+    const std::int64_t merge_start = ProfileNowNs();
     CRE_ASSIGN_OR_RETURN(TablePtr out, total.Finalize());
-    if (stats_ != nullptr) {
-      stats_->SlotFor(&agg, "Aggregate")
-          ->AddBatch(out->num_rows(), timer.Seconds());
-    }
+    add_cpu(accumulate_start);
+    finish(out, 1, 0,
+           static_cast<double>(merge_start - accumulate_start) * 1e-9,
+           static_cast<double>(ProfileNowNs() - merge_start) * 1e-9);
     return out;
   }
 
   // Drives chunk `c`'s morsel chains into `consume`, polling the
   // cancellation flag between morsels; within the chunk, rows stream in
-  // order in morsel-sized slices.
+  // order in morsel-sized slices. Each chunk adds its time to the
+  // aggregate's CPU.
   auto run_chunk = [&](std::size_t c,
                        const std::function<Status(const Table&)>& consume)
       -> Status {
-    const std::size_t begin_row = c * per_chunk * morsel_rows_;
-    const std::size_t end_row =
-        std::min(n, begin_row + per_chunk * morsel_rows_);
-    for (std::size_t r = begin_row; r < end_row; r += morsel_rows_) {
+    const std::int64_t start = ProfileNowNs();
+    const std::size_t begin_row = c * per_chunk * morsel;
+    const std::size_t end_row = std::min(n, begin_row + per_chunk * morsel);
+    for (std::size_t r = begin_row; r < end_row; r += morsel) {
       CRE_RETURN_NOT_OK(ctx_->CheckCancelled());
-      TablePtr slice = base->Slice(r, std::min(morsel_rows_, end_row - r));
+      TablePtr slice = base->Slice(r, std::min(morsel, end_row - r));
       CRE_ASSIGN_OR_RETURN(OperatorPtr chain,
                            BuildChain(segment, slice, joins, selects));
       CRE_RETURN_NOT_OK(chain->Open());
@@ -443,6 +504,7 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
         CRE_RETURN_NOT_OK(consume(*batch));
       }
     }
+    add_cpu(start);
     return Status::OK();
   };
 
@@ -479,12 +541,13 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     }
     observe_state(state_groups, state_bytes);
 
-    Timer merge_timer;
+    const std::int64_t merge_start = ProfileNowNs();
     GroupedAggregationState total;
     CRE_RETURN_NOT_OK(total.Init(input_schema, agg.group_keys, agg.aggs));
     for (auto& partial : partials) total.Merge(std::move(partial));
     CRE_ASSIGN_OR_RETURN(out, total.Finalize());
-    merge_seconds = merge_timer.Seconds();
+    merge_seconds = static_cast<double>(ProfileNowNs() - merge_start) * 1e-9;
+    add_cpu(merge_start);
   } else {
     // Phase 1: every chunk partitions its rows by group-key hash radix
     // into a private set of partition states.
@@ -530,6 +593,7 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
     runner_->ParallelFor(
         partitions_used,
         [&](std::size_t begin, std::size_t end) {
+          const std::int64_t start = ProfileNowNs();
           for (std::size_t p = begin; p < end; ++p) {
             GroupedAggregationState& acc = partials[0].partition(p);
             for (std::size_t c = 1; c < num_chunks; ++c) {
@@ -537,8 +601,10 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
             }
             merged[p] = acc.Finalize();
           }
+          add_cpu(start);
         },
         /*min_chunk=*/1);
+    const std::int64_t concat_start = ProfileNowNs();
     for (auto& part : merged) {
       if (!part.ok()) return part.status();
       TablePtr table = std::move(part).ValueUnsafe();
@@ -547,27 +613,11 @@ Result<TablePtr> ParallelPlanDriver::RunAggregate(const PlanNode& agg) {
       }
       CRE_RETURN_NOT_OK(out->AppendTable(*table));
     }
+    add_cpu(concat_start);
     merge_seconds = merge_timer.Seconds();
   }
 
-  if (trace_ != nullptr && span_parent_ != nullptr) {
-    trace_->Annotate(span_parent_, "agg_mode", use_radix ? "radix" : "hash");
-    trace_->Annotate(span_parent_, "agg_accumulate_ms",
-                     std::to_string(accumulate_seconds * 1e3));
-    trace_->Annotate(span_parent_, "agg_merge_ms",
-                     std::to_string(merge_seconds * 1e3));
-  }
-  if (stats_ != nullptr) {
-    const std::string label =
-        use_radix ? "Aggregate [radix, " + std::to_string(partitions_used) +
-                        " partitions]"
-                  : "Aggregate";
-    stats_->SlotFor(&agg, label)->AddBatch(out->num_rows(), timer.Seconds());
-    stats_->SlotFor(&agg, 1, "  Aggregate phase: accumulate")
-        ->AddBatch(0, accumulate_seconds);
-    stats_->SlotFor(&agg, 2, "  Aggregate phase: merge")
-        ->AddBatch(0, merge_seconds);
-  }
+  finish(out, num_chunks, partitions_used, accumulate_seconds, merge_seconds);
   return out;
 }
 

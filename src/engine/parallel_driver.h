@@ -7,6 +7,7 @@
 #include "core/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/query_context.h"
+#include "engine/query_profile.h"
 #include "exec/hash_join.h"
 #include "exec/morsel.h"
 #include "exec/pipeline.h"
@@ -23,15 +24,15 @@ namespace cre {
 /// QueryContext: tables resolve from the pinned catalog snapshot, tasks
 /// submit through the query's scheduler group (so concurrent queries
 /// interleave fairly and barriers never couple across queries), the
-/// cancellation flag is polled at every morsel boundary, and stats go to
-/// the per-query collector.
+/// cancellation flag is polled at every morsel boundary, and a profiled
+/// query's measurements go to its QueryProfile, keyed by plan node.
 ///
 /// Breakers around the segments:
 ///  - hash Join: the build side is executed (recursively, in parallel),
 ///    hashed once into a shared read-only HashJoinTable, and probed from
 ///    every morsel pipeline concurrently;
-///  - Aggregate: each worker chunk accumulates private state over its
-///    configured-size (EngineOptions::morsel_rows) morsels. At low group
+///  - Aggregate: each worker chunk accumulates private state over a run
+///    of morsels cut by the morsel-size rule below. At low group
 ///    cardinality that is one GroupedAggregationState per chunk whose
 ///    partials merge at the barrier in chunk-index order; above
 ///    OptimizerOptions::radix_agg_min_groups estimated groups the chunks
@@ -63,8 +64,9 @@ namespace cre {
 /// rows at dop > 1 cuts morsels of min(EngineOptions::morsel_rows,
 /// max(1024, ceil(n / (4 * dop)))) rows — about four morsels per
 /// worker, never above the configured size — and configured-size
-/// morsels at dop 1. The same (rows, dop, morsel_rows) always gives the
-/// same morsels.
+/// morsels at dop 1. Morsel maps and aggregate chunk layouts use the same
+/// rule, and the same (rows, dop, morsel_rows) always gives the same
+/// morsels.
 ///
 /// All scheduling happens on the driver (caller) thread; worker tasks
 /// never block on the pool themselves, which keeps the fixed-size pool
@@ -73,7 +75,9 @@ namespace cre {
 /// on the driver thread, with the same operators and budget charges.
 class ParallelPlanDriver {
  public:
-  ParallelPlanDriver(Engine* engine, QueryContext* ctx);
+  /// `profile` (null when the query is not profiled) must be bound to the
+  /// plan passed to Run.
+  ParallelPlanDriver(Engine* engine, QueryContext* ctx, QueryProfile* profile);
 
   /// Executes the plan tree and returns the materialized result.
   Result<TablePtr> Run(const PlanNode& root);
@@ -90,6 +94,10 @@ class ParallelPlanDriver {
 
   Result<TablePtr> RunSegment(const PipelineSegment& segment);
   Result<TablePtr> MaterializeSource(const PlanNode& source);
+  /// Runs a materializing source's operator on the driver thread as one
+  /// profiled driver step that began at `start_ns`.
+  Result<TablePtr> RunOperator(const PlanNode& node, OperatorPtr op,
+                               std::int64_t start_ns);
   Result<TablePtr> RunAggregate(const PlanNode& agg);
   /// Materializes the sort input (in parallel) and sorts it on the pool;
   /// `limit_hint` > 0 = top-k for a Limit parent.
@@ -112,42 +120,30 @@ class ParallelPlanDriver {
                                  const JoinStates& joins,
                                  const SelectStates& selects);
 
-  /// Wraps `op` with a stats slot shared by all per-morsel instances of
-  /// plan node `node` when instrumenting.
-  OperatorPtr Instrument(const PlanNode* node, OperatorPtr op);
-
-  /// Scoped trace span opened under the driver's current parent span,
-  /// nesting recursive segments (sub-pipelines show as children). All
-  /// span sites run on the driver thread; worker tasks never touch the
-  /// trace. No-ops when the query is not sampled.
-  class SpanScope {
-   public:
-    SpanScope(ParallelPlanDriver* driver, const std::string& name)
-        : driver_(driver),
-          scoped_(driver->trace_, driver->span_parent_, name),
-          saved_parent_(driver->span_parent_) {
-      if (scoped_.span() != nullptr) driver_->span_parent_ = scoped_.span();
-    }
-    ~SpanScope() { driver_->span_parent_ = saved_parent_; }
-    void Annotate(const std::string& key, const std::string& value) {
-      scoped_.Annotate(key, value);
-    }
-
-   private:
-    ParallelPlanDriver* driver_;
-    ScopedSpan scoped_;
-    TraceSpan* saved_parent_;
-  };
+  /// The profile record of `node`, or null when this query is not
+  /// profiled.
+  NodeProfile* Profile(const PlanNode* node) const {
+    return profile_ == nullptr ? nullptr : profile_->node(node);
+  }
+  /// Wraps `op` so it times itself into `node`'s record: CPU for an
+  /// operator that runs on one thread, wall for one that parallelizes
+  /// internally on the pool. Returns `op` unchanged when not profiling.
+  OperatorPtr Instrument(const PlanNode* node, OperatorPtr op,
+                         bool wall = false);
+  /// Records which node each chain operator of `segment` (and `sink`, an
+  /// aggregate consuming the chain) pulls, so self time can subtract it.
+  void LinkChain(const PipelineSegment& segment, NodeProfile* sink) const;
+  /// Appends a driver step named `name` that began at `start_ns`.
+  void AddStep(const std::string& name, std::int64_t start_ns) const;
 
   Engine* engine_;
   QueryContext* ctx_;
   TaskRunner* runner_;
-  /// EngineOptions::morsel_rows: the scan batch size, the aggregate chunk
-  /// layout unit, and the morsel-size ceiling.
+  /// EngineOptions::morsel_rows: the scan batch size and the morsel-size
+  /// ceiling.
   std::size_t morsel_rows_;
-  StatsCollector* stats_;
-  QueryTrace* trace_;
-  TraceSpan* span_parent_;
+  /// Null unless this query is profiled.
+  QueryProfile* profile_;
 };
 
 }  // namespace cre

@@ -1,6 +1,7 @@
 #ifndef CRE_ENGINE_QUERY_CONTEXT_H_
 #define CRE_ENGINE_QUERY_CONTEXT_H_
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -8,8 +9,6 @@
 #include "core/resource_governor.h"
 #include "core/result.h"
 #include "engine/scheduler.h"
-#include "exec/stats.h"
-#include "obs/trace.h"
 #include "storage/catalog.h"
 
 namespace cre {
@@ -30,10 +29,9 @@ struct QueryOptions {
   std::size_t memory_budget_bytes = 0;
 };
 
-/// Everything one in-flight query needs, created by the engine at
+/// Everything one in-flight query needs to run, created by the engine at
 /// admission and threaded through optimizer, lowering, and the parallel
-/// driver (replacing the ad-hoc live-catalog lookups and the engine-level
-/// mutable stats pointer that made Execute single-occupancy):
+/// driver:
 ///
 ///  - a pinned catalog snapshot: all name resolution inside the query —
 ///    cardinality estimation, scan lowering, semantic-join build sides,
@@ -42,17 +40,20 @@ struct QueryOptions {
 ///  - the query's scheduler group: the TaskRunner all parallel operators
 ///    submit through, scoping barriers to this query and multiplexing
 ///    its tasks fairly against concurrently admitted queries;
-///  - the cooperative cancellation flag;
-///  - the per-query StatsCollector (null unless ExecuteWithStats).
+///  - the cooperative cancellation flag (which also carries the deadline);
+///  - the memory budget and the query id.
+///
+/// What the query measures about itself is not here: a sampled query's
+/// QueryProfile goes to the parallel driver of its final plan only, so
+/// subplans the optimizer executes stay out of it.
 class QueryContext {
  public:
   QueryContext(std::shared_ptr<const Catalog> snapshot,
                std::shared_ptr<QueryScheduler::Group> group,
-               CancelFlagPtr cancel, StatsCollector* stats)
+               CancelFlagPtr cancel)
       : snapshot_(std::move(snapshot)),
         group_(std::move(group)),
-        cancel_(std::move(cancel)),
-        stats_(stats) {}
+        cancel_(std::move(cancel)) {}
 
   /// The pinned catalog state this query plans and executes against.
   const Catalog& snapshot() const { return *snapshot_; }
@@ -61,8 +62,6 @@ class QueryContext {
   /// one worker for a serial engine).
   TaskRunner* runner() const { return group_.get(); }
   QueryScheduler::Group* group() const { return group_.get(); }
-
-  StatsCollector* stats() const { return stats_; }
 
   bool cancelled() const { return cancel_ != nullptr && cancel_->cancelled(); }
   /// OK, or Status::Cancelled / Status::DeadlineExceeded once the token
@@ -85,14 +84,6 @@ class QueryContext {
   SchedulingCounters scheduling() const { return group_->counters(); }
   QueryPriority priority() const { return group_->priority(); }
 
-  /// The query's trace (null unless this query was sampled for tracing).
-  /// Call sites open spans under trace_parent(), the phase span the engine
-  /// is currently inside ("execute" during RunPhysical).
-  QueryTrace* trace() const { return trace_; }
-  TraceSpan* trace_parent() const { return trace_parent_; }
-  void set_trace(QueryTrace* trace) { trace_ = trace; }
-  void set_trace_parent(TraceSpan* span) { trace_parent_ = span; }
-
   /// Engine-assigned query id (0 when the context was built outside the
   /// engine's admission path) — tags slow-query log lines.
   std::uint64_t query_id() const { return query_id_; }
@@ -103,9 +94,6 @@ class QueryContext {
   std::shared_ptr<QueryScheduler::Group> group_;
   CancelFlagPtr cancel_;
   QueryBudgetPtr budget_;
-  StatsCollector* stats_;
-  QueryTrace* trace_ = nullptr;
-  TraceSpan* trace_parent_ = nullptr;
   std::uint64_t query_id_ = 0;
 };
 

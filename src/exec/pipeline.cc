@@ -41,6 +41,39 @@ PipelineSegment DecomposePipeline(const PlanNode& root) {
 
 namespace {
 
+std::string SourceName(const PlanNode& src) {
+  std::ostringstream name;
+  name << PlanKindName(src.kind);
+  switch (src.kind) {
+    case PlanKind::kScan:
+    case PlanKind::kDetectScan:
+      name << "(" << src.table_name << ")";
+      break;
+    case PlanKind::kSort:
+      name << "(" << src.sort_key << ")";
+      break;
+    case PlanKind::kLimit:
+      name << "(" << src.limit << ")";
+      break;
+    default:
+      break;
+  }
+  return name.str();
+}
+
+}  // namespace
+
+std::string SegmentName(const PipelineSegment& segment) {
+  std::string chain = SourceName(*segment.source);
+  for (const PlanNode* op : segment.ops) {
+    chain += " -> ";
+    chain += PlanKindName(op->kind);
+  }
+  return chain;
+}
+
+namespace {
+
 /// Renders the parallel driver's routing decisions without executing
 /// anything: the walk mirrors ParallelPlanDriver::Run /
 /// MaterializeSource exactly, so the annotations state how each
@@ -64,26 +97,6 @@ class PipelineDescriber {
     return "[" + desc + ", dop=" + std::to_string(dop_) + "]";
   }
 
-  static std::string SourceName(const PlanNode& src) {
-    std::ostringstream name;
-    name << PlanKindName(src.kind);
-    switch (src.kind) {
-      case PlanKind::kScan:
-      case PlanKind::kDetectScan:
-        name << "(" << src.table_name << ")";
-        break;
-      case PlanKind::kSort:
-        name << "(" << src.sort_key << ")";
-        break;
-      case PlanKind::kLimit:
-        name << "(" << src.limit << ")";
-        break;
-      default:
-        break;
-    }
-    return name.str();
-  }
-
   /// Emits the pipeline producing `node`'s rows into `sink`, then
   /// recurses into everything feeding it (join build sides, breaker
   /// inputs). `extra` augments the scheduling annotation (e.g. the
@@ -100,14 +113,9 @@ class PipelineDescriber {
       return;
     }
 
-    std::string chain = SourceName(src);
-    for (const PlanNode* op : seg.ops) {
-      chain += " -> ";
-      chain += PlanKindName(op->kind);
-    }
     std::string desc = "morsel scheduler";
     if (!extra.empty()) desc += ", " + extra;
-    Line(chain, sink, Mode(desc));
+    Line(SegmentName(seg), sink, Mode(desc));
 
     for (const PlanNode* op : seg.ops) {
       if (op->kind == PlanKind::kJoin) {

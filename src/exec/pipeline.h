@@ -1,6 +1,7 @@
 #ifndef CRE_EXEC_PIPELINE_H_
 #define CRE_EXEC_PIPELINE_H_
 
+#include <string>
 #include <vector>
 
 #include "plan/plan_node.h"
@@ -48,6 +49,11 @@ struct PipelineSegment {
 /// Recursion over the remaining tree (breaker inputs, join build sides)
 /// is the driver's job.
 PipelineSegment DecomposePipeline(const PlanNode& root);
+
+/// "Scan(t) -> Filter -> Join": a segment's source and streamable ops, as
+/// the pipeline routing below and the query profile's driver steps name
+/// it.
+std::string SegmentName(const PipelineSegment& segment);
 
 /// EXPLAIN rendering of the parallel driver's routing for `plan`: one
 /// line per pipeline, each annotated with its degree of parallelism and

@@ -12,27 +12,6 @@ std::string FormatMillis(double seconds) {
   return buf;
 }
 
-void RenderSpan(const TraceSpan& span, int depth, std::string* out) {
-  out->append(static_cast<std::size_t>(depth) * 2, ' ');
-  *out += span.name;
-  *out += "  ";
-  *out += span.end_seconds < 0 ? "(open)" : FormatMillis(span.DurationSeconds());
-  if (!span.attrs.empty()) {
-    *out += " {";
-    bool first = true;
-    for (const auto& kv : span.attrs) {
-      if (!first) *out += ", ";
-      first = false;
-      *out += kv.first + "=" + kv.second;
-    }
-    *out += "}";
-  }
-  *out += "\n";
-  for (const auto& child : span.children) {
-    RenderSpan(*child, depth + 1, out);
-  }
-}
-
 void RenderCompact(const TraceSpan& span, std::string* out) {
   *out += span.name;
   *out += "=";
@@ -74,28 +53,10 @@ void QueryTrace::End(TraceSpan* span) {
   if (span->end_seconds < 0) span->end_seconds = now;
 }
 
-void QueryTrace::Annotate(TraceSpan* span, const std::string& key,
-                          const std::string& value) {
-  MutexLock lock(mu_);
-  span->attrs.emplace_back(key, value);
-}
-
 void QueryTrace::Finish() {
   const double now = epoch_.Seconds();
   MutexLock lock(mu_);
   if (root_.end_seconds < 0) root_.end_seconds = now;
-}
-
-double QueryTrace::TotalSeconds() const {
-  MutexLock lock(mu_);
-  return root_.end_seconds < 0 ? epoch_.Seconds() : root_.end_seconds;
-}
-
-std::string QueryTrace::ToString() const {
-  MutexLock lock(mu_);
-  std::string out;
-  RenderSpan(root_, 0, &out);
-  return out;
 }
 
 std::string QueryTrace::ToCompactString() const {
@@ -103,18 +64,6 @@ std::string QueryTrace::ToCompactString() const {
   std::string out;
   RenderCompact(root_, &out);
   return out;
-}
-
-void TraceRing::Push(std::shared_ptr<const QueryTrace> trace) {
-  MutexLock lock(mu_);
-  traces_.push_back(std::move(trace));
-  while (traces_.size() > capacity_) traces_.pop_front();
-}
-
-std::vector<std::shared_ptr<const QueryTrace>> TraceRing::Snapshot() const {
-  MutexLock lock(mu_);
-  return std::vector<std::shared_ptr<const QueryTrace>>(traces_.rbegin(),
-                                                        traces_.rend());
 }
 
 }  // namespace cre

@@ -2,7 +2,6 @@
 #define CRE_OBS_TRACE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,15 +12,14 @@
 
 namespace cre {
 
-/// One timed phase of a query: name, begin/end relative to the trace
-/// epoch, string attributes, children. Spans form a tree rooted at the
-/// query itself ("query:execute" → "optimize", "pipeline:Sort", ...).
+/// One timed phase: name, begin/end relative to the trace epoch,
+/// children. Spans form a tree rooted at the traced unit
+/// ("query:select" → "engine.execute", ...).
 /// Nodes are owned by their parent; the QueryTrace owns the root.
 struct TraceSpan {
   std::string name;
   double begin_seconds = 0;  ///< offset from the trace epoch
   double end_seconds = -1;   ///< -1 while the span is open
-  std::vector<std::pair<std::string, std::string>> attrs;
   std::vector<std::unique_ptr<TraceSpan>> children;
 
   double DurationSeconds() const {
@@ -29,11 +27,12 @@ struct TraceSpan {
   }
 };
 
-/// The span tree for one query. Begin/End/Annotate are mutex-guarded so
-/// driver-thread and engine-thread call sites stay TSan-clean; tracing is
-/// sampled (ObsOptions::trace_sample_every), so queries that are not
-/// sampled carry a null QueryTrace* and every call site degrades to a
-/// branch. Span pointers remain valid for the trace's lifetime.
+/// A span tree for one timed unit of work, for callers that time phases
+/// around the engine (the perfbench harness does; the engine itself
+/// records a QueryProfile instead). Begin/End are mutex-guarded
+/// so spans may open on any thread; a null QueryTrace* makes every
+/// ScopedSpan a no-op. Span pointers remain valid for the trace's
+/// lifetime.
 class QueryTrace {
  public:
   QueryTrace(std::uint64_t query_id, std::string label);
@@ -45,22 +44,13 @@ class QueryTrace {
   TraceSpan* Begin(TraceSpan* parent, const std::string& name);
   /// Closes `span` at now. No-op if already closed.
   void End(TraceSpan* span);
-  void Annotate(TraceSpan* span, const std::string& key,
-                const std::string& value);
   /// Closes the root span; call once when the query finishes.
   void Finish();
 
   TraceSpan* root() { return &root_; }
-  /// Total seconds from trace start to Finish (or to now if unfinished).
-  double TotalSeconds() const;
 
-  /// Indented multi-line rendering of the span tree:
-  ///   query:execute  12.345ms
-  ///     optimize  0.210ms
-  ///     pipeline:Sort  9.100ms {rows=5000}
-  std::string ToString() const;
-  /// Single-line rendering for the slow-query log:
-  ///   query:execute=12.345ms[optimize=0.210ms,pipeline:Sort=9.100ms]
+  /// Single-line rendering of the span tree:
+  ///   query:select=12.345ms[optimize=0.210ms,engine.execute=9.100ms]
   std::string ToCompactString() const;
 
  private:
@@ -68,14 +58,14 @@ class QueryTrace {
   std::string label_;
   Timer epoch_;
   mutable Mutex mu_;
-  /// Span-tree mutations go through Begin/End/Annotate under mu_; root()
+  /// Span-tree mutations go through Begin/End under mu_; root()
   /// hands out the root pointer, deref'd by callers only via those entry
   /// points (or after Finish, when the tree is quiescent).
   TraceSpan root_ CRE_GUARDED_BY(mu_);
 };
 
 /// RAII span: begins on construction, ends on destruction. Null-trace
-/// tolerant — all members no-op when the query is not sampled.
+/// tolerant — all members no-op without a trace.
 class ScopedSpan {
  public:
   ScopedSpan(QueryTrace* trace, TraceSpan* parent, const std::string& name)
@@ -89,33 +79,13 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// The opened span (nullptr when not sampled) — pass as the parent of
+  /// The opened span (nullptr without a trace) — pass as the parent of
   /// nested spans.
   TraceSpan* span() const { return span_; }
-  void Annotate(const std::string& key, const std::string& value) {
-    if (trace_ && span_) trace_->Annotate(span_, key, value);
-  }
 
  private:
   QueryTrace* trace_;
   TraceSpan* span_ = nullptr;
-};
-
-/// Bounded ring of recently finished query traces, newest first in
-/// Snapshot(). Shared ownership so a snapshot stays valid while new
-/// queries push older traces out.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity) : capacity_(capacity) {}
-
-  void Push(std::shared_ptr<const QueryTrace> trace);
-  std::vector<std::shared_ptr<const QueryTrace>> Snapshot() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  std::size_t capacity_;
-  mutable Mutex mu_;
-  std::deque<std::shared_ptr<const QueryTrace>> traces_ CRE_GUARDED_BY(mu_);
 };
 
 }  // namespace cre

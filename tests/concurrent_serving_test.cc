@@ -444,20 +444,23 @@ TEST_F(ConcurrentServingTest, CancellationUnwindsAndEngineKeepsServing) {
 }
 
 // Observability satellite: per-query scheduling counters surface through
-// ExecuteWithStats and EXPLAIN grows a serving section.
-TEST_F(ConcurrentServingTest, SchedulingCountersSurfaceInStatsAndExplain) {
+// the query's profile and EXPLAIN grows a serving section.
+TEST_F(ConcurrentServingTest, SchedulingCountersSurfaceInProfileAndExplain) {
   auto engine = MakeEngine(kThreads);
   PlanPtr plan = PlanNode::Sort(
       PlanNode::Filter(PlanNode::Scan("big"), Gt(Col("num"), Lit(100.0))),
       "num", true);
 
-  auto analyzed = engine->ExecuteWithStats(plan);
-  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
-  EXPECT_GT(analyzed.ValueOrDie().scheduling.tasks_dispatched, 0u);
-  EXPECT_GT(analyzed.ValueOrDie().scheduling.tasks_submitted, 0u);
-  const std::string stats = analyzed.ValueOrDie().stats->ToString();
-  EXPECT_NE(stats.find("Scheduler: queue wait"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("Scheduler: admission wait"), std::string::npos);
+  auto result = engine->Execute(plan);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto profiles = engine->traces();
+  ASSERT_FALSE(profiles.empty());
+  const QueryProfile& profile = *profiles.front();
+  EXPECT_GT(profile.scheduling.tasks_dispatched, 0u);
+  EXPECT_GT(profile.scheduling.tasks_submitted, 0u);
+  const std::string text = profile.ToString();
+  EXPECT_NE(text.find("queue wait"), std::string::npos) << text;
+  EXPECT_NE(text.find("admission="), std::string::npos);
 
   auto explain = engine->Explain(plan);
   ASSERT_TRUE(explain.ok());

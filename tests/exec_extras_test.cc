@@ -1,4 +1,4 @@
-// Tests for execution extensions: per-operator statistics, morsel-driven
+// Tests for execution extensions: per-node query profiles, morsel-driven
 // parallel execution, and sampling operators.
 
 #include <mutex>
@@ -10,12 +10,12 @@
 #include "datagen/shop.h"
 #include "engine/engine.h"
 #include "engine/query_builder.h"
+#include "engine/query_profile.h"
 #include "exec/filter.h"
 #include "exec/morsel.h"
 #include "exec/project.h"
 #include "exec/sample.h"
 #include "exec/scan.h"
-#include "exec/stats.h"
 
 namespace cre {
 namespace {
@@ -31,39 +31,41 @@ TablePtr Numbers(std::size_t n) {
   return t;
 }
 
-TEST(StatsTest, InstrumentedOperatorCounts) {
-  StatsCollector collector;
+TEST(ProfileTest, ProfiledOperatorCounts) {
+  PlanPtr plan = PlanNode::Scan("numbers");
+  QueryProfile profile(1, "unit");
+  profile.Bind(plan);
+  NodeProfile* record = profile.node(plan.get());
+  ASSERT_NE(record, nullptr);
   auto table = Numbers(1000);
-  auto scan = std::make_unique<TableScanOperator>(table, 128);
-  auto* slot = collector.AddSlot(scan->name());
-  InstrumentedOperator op(std::move(scan), slot);
+  ProfiledOperator op(std::make_unique<TableScanOperator>(table, 128), record,
+                      /*wall=*/false);
   auto out = ExecuteToTable(&op).ValueOrDie();
   EXPECT_EQ(out->num_rows(), 1000u);
-  EXPECT_EQ(slot->rows, 1000u);
-  EXPECT_EQ(slot->batches, 8u);
-  EXPECT_GE(slot->next_seconds, 0.0);
-  EXPECT_NE(collector.ToString().find("Scan"), std::string::npos);
+  EXPECT_EQ(record->rows, 1000u);
+  EXPECT_EQ(record->batches, 8u);
+  EXPECT_GE(record->InclusiveSeconds(), 0.0);
+  EXPECT_EQ(record->SelfSeconds(), record->InclusiveSeconds());
+  EXPECT_NE(profile.ToString().find("Scan"), std::string::npos);
 }
 
-TEST(StatsTest, EngineExecuteWithStats) {
+TEST(ProfileTest, EngineExecuteRecordsProfile) {
   Engine engine;
   engine.catalog().Put("numbers", Numbers(5000));
   QueryBuilder qb(&engine);
   qb.Scan("numbers").Filter(Gt(Col("x"), Lit(2499)));
-  auto analyzed = engine.ExecuteWithStats(qb.plan()).ValueOrDie();
-  EXPECT_EQ(analyzed.table->num_rows(), 2500u);
-  EXPECT_GT(analyzed.total_seconds, 0.0);
+  auto table = engine.Execute(qb.plan()).ValueOrDie();
+  EXPECT_EQ(table->num_rows(), 2500u);
+  auto profiles = engine.traces();
+  ASSERT_FALSE(profiles.empty());
+  const QueryProfile& profile = *profiles.front();
+  EXPECT_GT(profile.execute_seconds, 0.0);
   // The optimizer pushes the predicate into the scan, which lowers to a
-  // Filter-over-scan pipeline instrumented as one slot.
-  ASSERT_GE(analyzed.stats->slots().size(), 1u);
-  bool found_filter = false;
-  for (const auto& s : analyzed.stats->slots()) {
-    if (s->name.find("Filter") != std::string::npos) {
-      found_filter = true;
-      EXPECT_EQ(s->rows, 2500u);
-    }
-  }
-  EXPECT_TRUE(found_filter);
+  // Filter-over-scan pipeline recorded as the one Scan node.
+  const PlanNode& scan = *profile.plan();
+  ASSERT_EQ(scan.kind, PlanKind::kScan);
+  EXPECT_NE(scan.predicate, nullptr);
+  EXPECT_EQ(profile.node(&scan)->rows, 2500u);
 }
 
 TEST(MorselTest, SerialAndParallelAgree) {

@@ -257,7 +257,6 @@ TEST(QueryTrace, SpanTreeShapeAndRendering) {
   QueryTrace trace(7, "unit");
   TraceSpan* outer = trace.Begin(nullptr, "execute");
   TraceSpan* inner = trace.Begin(outer, "pipeline:Scan");
-  trace.Annotate(inner, "rows", "100");
   trace.End(inner);
   trace.End(outer);
   trace.Finish();
@@ -265,27 +264,12 @@ TEST(QueryTrace, SpanTreeShapeAndRendering) {
   ASSERT_EQ(trace.root()->children.size(), 1u);
   ASSERT_EQ(trace.root()->children[0]->children.size(), 1u);
   EXPECT_EQ(trace.root()->children[0]->name, "execute");
-  EXPECT_GE(trace.TotalSeconds(), 0.0);
+  EXPECT_GE(trace.root()->DurationSeconds(), 0.0);
 
-  const std::string text = trace.ToString();
-  EXPECT_NE(text.find("execute"), std::string::npos);
-  EXPECT_NE(text.find("pipeline:Scan"), std::string::npos);
-  EXPECT_NE(text.find("rows=100"), std::string::npos);
   const std::string compact = trace.ToCompactString();
+  EXPECT_NE(compact.find("query:unit="), std::string::npos) << compact;
+  EXPECT_NE(compact.find("execute="), std::string::npos);
   EXPECT_NE(compact.find("pipeline:Scan="), std::string::npos);
-}
-
-TEST(TraceRing, BoundedNewestFirst) {
-  TraceRing ring(3);
-  for (int i = 0; i < 5; ++i) {
-    auto t = std::make_shared<QueryTrace>(static_cast<std::uint64_t>(i), "q");
-    t->Finish();
-    ring.Push(std::move(t));
-  }
-  const auto snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0]->query_id(), 4u);
-  EXPECT_EQ(snap[2]->query_id(), 2u);
 }
 
 // ---- engine wiring ----
@@ -353,32 +337,63 @@ TEST_F(ObsEngineTest, EmbedCacheMetricsSurfaceForCachingModels) {
   EXPECT_NE(json.find("cre_embed_cache_entries"), std::string::npos);
 }
 
-TEST_F(ObsEngineTest, SemanticJoinTraceTreeShape) {
+TEST_F(ObsEngineTest, ProfileRingBoundedNewestFirst) {
+  EngineOptions eo;
+  eo.obs.trace_ring_capacity = 3;
+  auto engine = MakeEngine(eo);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(engine->Execute(PlanNode::Scan("items")).ok());
+  }
+  const auto profiles = engine->traces();
+  ASSERT_EQ(profiles.size(), 3u);
+  EXPECT_EQ(profiles[0]->query_id(), 5u);
+  EXPECT_EQ(profiles[2]->query_id(), 3u);
+}
+
+TEST_F(ObsEngineTest, SemanticJoinProfileShape) {
   auto engine = MakeEngine();
   auto r = engine->Execute(SemanticJoinPlan(SemanticJoinStrategy::kBruteForce));
   ASSERT_TRUE(r.ok()) << r.status().message();
 
-  auto traces = engine->traces()->Snapshot();
-  ASSERT_FALSE(traces.empty());
-  const auto& trace = *traces[0];
-  // Root -> {optimize, execute -> pipeline spans}.
-  auto* root = const_cast<QueryTrace&>(trace).root();
-  ASSERT_GE(root->children.size(), 2u);
-  EXPECT_EQ(root->children[0]->name, "optimize");
-  EXPECT_EQ(root->children[1]->name, "execute");
-  const std::string text = trace.ToString();
-  EXPECT_NE(text.find("pipeline:"), std::string::npos) << text;
-  // Every span closed by Finish-time.
-  EXPECT_GE(root->children[1]->DurationSeconds(), 0.0);
+  auto profiles = engine->traces();
+  ASSERT_FALSE(profiles.empty());
+  const QueryProfile& profile = *profiles[0];
+  // Query level: optimize, then execute; per node: the plan it ran.
+  EXPECT_EQ(profile.kind(), "execute");
+  EXPECT_EQ(profile.plan_origin, "optimized");
+  EXPECT_GE(profile.optimize_seconds, 0.0);
+  EXPECT_GT(profile.execute_seconds, 0.0);
+  ASSERT_NE(profile.plan(), nullptr);
+  EXPECT_EQ(profile.plan()->kind, PlanKind::kSemanticJoin);
+  EXPECT_GT(profile.node(profile.plan().get())->WallSeconds(), 0.0);
+  // Driver steps: both scan sides, then the join itself.
+  bool join_step = false;
+  for (const auto& step : profile.steps()) {
+    if (step.name == "SemanticJoin") join_step = true;
+    EXPECT_GE(step.wall_seconds, 0.0);
+  }
+  EXPECT_TRUE(join_step) << profile.ToString();
+  EXPECT_NE(profile.ToCompactString().find("SemanticJoin="),
+            std::string::npos);
 }
 
-TEST_F(ObsEngineTest, TraceSamplingSkipsQueries) {
+TEST_F(ObsEngineTest, ProfileSamplingSkipsQueries) {
   EngineOptions eo;
-  eo.obs.trace_sample_every = 0;  // tracing off
+  eo.obs.trace_sample_every = 0;  // profiling off
   auto engine = MakeEngine(eo);
   auto r = engine->Execute(PlanNode::Scan("items"));
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(engine->traces()->Snapshot().empty());
+  EXPECT_TRUE(engine->traces().empty());
+
+  eo.obs.trace_sample_every = 2;  // queries 1 and 3 of 4
+  engine = MakeEngine(eo);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine->Execute(PlanNode::Scan("items")).ok());
+  }
+  const auto profiles = engine->traces();
+  ASSERT_EQ(profiles.size(), 2u);
+  EXPECT_EQ(profiles[0]->query_id(), 3u);
+  EXPECT_EQ(profiles[1]->query_id(), 1u);
 }
 
 TEST_F(ObsEngineTest, SlowQueryLogEmits) {
@@ -390,6 +405,7 @@ TEST_F(ObsEngineTest, SlowQueryLogEmits) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(capture.Contains("event=slow_query")) << "no slow_query line";
   EXPECT_TRUE(capture.Contains("kind=execute"));
+  EXPECT_TRUE(capture.Contains("profile=")) << "no compact profile";
 }
 
 TEST_F(ObsEngineTest, ExplainAnalyzeRendersMeasuredPlan) {
@@ -399,15 +415,19 @@ TEST_F(ObsEngineTest, ExplainAnalyzeRendersMeasuredPlan) {
   const std::string& text = r.ValueOrDie();
   EXPECT_NE(text.find("EXPLAIN ANALYZE"), std::string::npos) << text;
   EXPECT_NE(text.find("[rows="), std::string::npos) << text;
+  // Scans run on one thread per morsel: self/incl CPU; the semantic join
+  // parallelizes internally: driver wall.
+  EXPECT_NE(text.find("self="), std::string::npos);
+  EXPECT_NE(text.find("incl="), std::string::npos);
   EXPECT_NE(text.find("wall="), std::string::npos);
-  EXPECT_NE(text.find("cpu="), std::string::npos);
+  EXPECT_EQ(text.find("cpu="), std::string::npos);
   EXPECT_NE(text.find("dop="), std::string::npos);
   EXPECT_NE(text.find("scheduling:"), std::string::npos);
   EXPECT_NE(text.find("index residency:"), std::string::npos) << text;
   // The managed HNSW index was built during execution: absent -> resident.
   EXPECT_NE(text.find("-> resident"), std::string::npos) << text;
   EXPECT_NE(text.find("pipelines ("), std::string::npos);
-  EXPECT_NE(text.find("trace:"), std::string::npos);
+  EXPECT_NE(text.find("driver steps"), std::string::npos);
 }
 
 TEST_F(ObsEngineTest, ExplainAnalyzeSqlEndToEnd) {

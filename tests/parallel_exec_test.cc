@@ -527,6 +527,19 @@ TEST(ParallelExecPlain, GlobalAggregateOverEmptyInput) {
   EXPECT_EQ(out->GetValue(0, 0).AsInt64(), 0);
 }
 
+/// The newest profile in the engine's ring (the query just run).
+std::shared_ptr<const QueryProfile> LastProfile(const Engine& engine) {
+  auto profiles = engine.traces();
+  EXPECT_FALSE(profiles.empty());
+  return profiles.empty() ? nullptr : profiles.front();
+}
+
+/// Every node of `plan`, depth first.
+void CollectNodes(const PlanNode& plan, std::vector<const PlanNode*>* out) {
+  out->push_back(&plan);
+  for (const PlanPtr& child : plan.children) CollectNodes(*child, out);
+}
+
 TEST(ParallelExecPlain, SortAndAggregateStageTimingsCollected) {
   EngineOptions eo;
   eo.num_threads = kThreads;
@@ -544,23 +557,119 @@ TEST(ParallelExecPlain, SortAndAggregateStageTimingsCollected) {
   PlanPtr plan = PlanNode::Aggregate(
       PlanNode::Sort(PlanNode::Scan("t"), "v", true), {"k"},
       {{AggKind::kSum, "v", "sum"}});
-  auto analyzed = engine.ExecuteWithStats(plan).ValueOrDie();
-  bool sort_local = false, sort_merge = false;
-  bool agg_accumulate = false, agg_merge = false;
-  for (const auto& s : analyzed.stats->slots()) {
-    if (s->name.find("Sort phase: local sort") != std::string::npos) {
-      sort_local = true;
-    } else if (s->name.find("Sort phase: merge") != std::string::npos) {
-      sort_merge = true;
-    } else if (s->name.find("Aggregate phase: accumulate") !=
-               std::string::npos) {
-      agg_accumulate = true;
-    } else if (s->name.find("Aggregate phase: merge") != std::string::npos) {
-      agg_merge = true;
+  ASSERT_TRUE(engine.Execute(plan).ok());
+  auto profile = LastProfile(engine);
+  ASSERT_NE(profile, nullptr);
+  const PlanNode& agg = *profile->plan();
+  ASSERT_EQ(agg.kind, PlanKind::kAggregate);
+  const PlanNode& sort = *agg.children[0];
+  ASSERT_EQ(sort.kind, PlanKind::kSort);
+  const NodeProfile* sort_record = profile->node(&sort);
+  const NodeProfile* agg_record = profile->node(&agg);
+  ASSERT_NE(sort_record, nullptr);
+  ASSERT_NE(agg_record, nullptr);
+  EXPECT_GT(sort_record->sort_runs, 1u) << profile->ToString();
+  EXPECT_GT(sort_record->sort_merge_partitions, 0u);
+  EXPECT_GT(sort_record->sort_local_seconds + sort_record->sort_merge_seconds,
+            0.0);
+  ASSERT_NE(agg_record->agg_mode, nullptr);
+  EXPECT_GT(agg_record->agg_accumulate_seconds, 0.0);
+  EXPECT_GT(agg_record->agg_merge_seconds, 0.0);
+  const std::string text = profile->ToString();
+  EXPECT_NE(text.find("local sort ("), std::string::npos) << text;
+  EXPECT_NE(text.find("accumulate ("), std::string::npos) << text;
+}
+
+/// A 20k-row table with 50 integer keys, for the profile tests below.
+TablePtr KeyedItems() {
+  auto t = Table::Make(Schema({{"k", DataType::kInt64, 0},
+                               {"num", DataType::kFloat64, 0}}));
+  Rng rng(17);
+  for (std::size_t i = 0; i < 20000; ++i) {
+    t->column(0).AppendInt64(static_cast<std::int64_t>(rng.Uniform(50)));
+    t->column(1).AppendFloat64(static_cast<double>(rng.Uniform(100)));
+  }
+  return t;
+}
+
+/// SELECT k, COUNT(*), SUM(num) FROM items WHERE num > 50 GROUP BY k
+PlanPtr KeyedAggregatePlan() {
+  return PlanNode::Aggregate(
+      PlanNode::Filter(PlanNode::Scan("items"), Gt(Col("num"), Lit(50.0))),
+      {"k"}, {{AggKind::kCount, "", "n"}, {AggKind::kSum, "num", "total"}});
+}
+
+// The profile's times are upper-bounded by the query: no node's self CPU
+// is negative, at dop 1 (one thread) the self times cannot add up to more
+// than the execution's wall, and no driver step outlasts the execution.
+// Upper bounds only, so load on the machine cannot make this flake.
+TEST(ParallelExecPlain, ProfileTimesAddUpToTheQuery) {
+  auto dims = Table::Make(Schema({{"dk", DataType::kInt64, 0},
+                                  {"label", DataType::kInt64, 0}}));
+  for (std::int64_t k = 0; k < 50; ++k) {
+    dims->column(0).AppendInt64(k);
+    dims->column(1).AppendInt64(k * 7);
+  }
+  const std::vector<PlanPtr> plans = {
+      KeyedAggregatePlan(),
+      PlanNode::Sort(PlanNode::Join(PlanNode::Scan("items"),
+                                    PlanNode::Scan("dims"), "k", "dk"),
+                     "num", true)};
+  constexpr double kTimerSlack = 1e-6;
+  for (std::size_t dop : {1, 2, 4}) {
+    EngineOptions eo;
+    eo.num_threads = dop;
+    Engine engine(eo);
+    engine.catalog().Put("items", KeyedItems());
+    engine.catalog().Put("dims", dims);
+    for (const PlanPtr& plan : plans) {
+      for (bool optimize : {false, true}) {
+        ASSERT_TRUE((optimize ? engine.Execute(plan)
+                              : engine.ExecuteUnoptimized(plan))
+                        .ok());
+        auto profile = LastProfile(engine);
+        ASSERT_NE(profile, nullptr);
+        const std::string text = profile->ToString();
+        std::vector<const PlanNode*> nodes;
+        CollectNodes(*profile->plan(), &nodes);
+        double self_sum = 0;
+        for (const PlanNode* node : nodes) {
+          const NodeProfile* record = profile->node(node);
+          ASSERT_NE(record, nullptr);
+          if (record->cpu_ns.load() == 0) continue;
+          EXPECT_GE(record->SelfSeconds(), -kTimerSlack)
+              << "dop " << dop << "\n" << text;
+          self_sum += record->SelfSeconds();
+        }
+        EXPECT_GT(self_sum, 0.0) << text;
+        if (dop == 1) {
+          EXPECT_LE(self_sum, profile->execute_seconds + kTimerSlack)
+              << text;
+        }
+        ASSERT_FALSE(profile->steps().empty()) << text;
+        for (const auto& step : profile->steps()) {
+          EXPECT_LE(step.wall_seconds, profile->execute_seconds + kTimerSlack)
+              << "dop " << dop << " " << step.name << "\n" << text;
+        }
+      }
     }
   }
-  EXPECT_TRUE(sort_local && sort_merge) << analyzed.stats->ToString();
-  EXPECT_TRUE(agg_accumulate && agg_merge) << analyzed.stats->ToString();
+}
+
+// Aggregate chunks follow the morsel-size rule: a 20k-row GROUP BY at
+// dop 4 cuts 16 morsels, so all four workers get chunks (configured-size
+// 8192-row chunks would give three).
+TEST(ParallelExecPlain, SmallAggregateKeepsEveryWorkerBusy) {
+  EngineOptions eo;
+  eo.num_threads = 4;
+  Engine engine(eo);
+  engine.catalog().Put("items", KeyedItems());
+  const std::string out =
+      engine.ExplainAnalyze(KeyedAggregatePlan()).ValueOrDie();
+  const std::string key = "dispatched=";
+  const std::size_t at = out.find(key);
+  ASSERT_NE(at, std::string::npos) << out;
+  EXPECT_GE(std::stoul(out.substr(at + key.size())), 4u) << out;
 }
 
 TEST(ParallelExecPlain, PipelineBreakerClassification) {
@@ -590,7 +699,7 @@ TEST(ParallelExecPlain, PipelineBreakerClassification) {
   EXPECT_EQ(segment.ops[1]->kind, PlanKind::kJoin);
 }
 
-TEST(ParallelExecPlain, ExecuteWithStatsUnderParallelDriver) {
+TEST(ParallelExecPlain, ProfileCountsRowsUnderParallelDriver) {
   EngineOptions eo;
   eo.num_threads = kThreads;
   eo.morsel_rows = 128;
@@ -602,18 +711,24 @@ TEST(ParallelExecPlain, ExecuteWithStatsUnderParallelDriver) {
   engine.catalog().Put("numbers", t);
   QueryBuilder qb(&engine);
   qb.Scan("numbers").Filter(Gt(Col("x"), Lit(2499)));
-  auto analyzed = engine.ExecuteWithStats(qb.plan()).ValueOrDie();
-  EXPECT_EQ(analyzed.table->num_rows(), 2500u);
-  // Per-morsel operator instances share one slot per name; row counts
-  // must still total exactly despite concurrent updates.
-  bool found_filter = false;
-  for (const auto& s : analyzed.stats->slots()) {
-    if (s->name.find("Filter") != std::string::npos) {
-      found_filter = true;
-      EXPECT_EQ(s->rows.load(), 2500u);
-    }
+  auto table = engine.Execute(qb.plan()).ValueOrDie();
+  EXPECT_EQ(table->num_rows(), 2500u);
+  // Per-morsel operator instances share one record per plan node; row
+  // counts must still total exactly despite concurrent updates. The
+  // optimizer pushes the predicate into the scan, so the Scan's record
+  // counts the filtered rows.
+  auto profile = LastProfile(engine);
+  ASSERT_NE(profile, nullptr);
+  std::vector<const PlanNode*> nodes;
+  CollectNodes(*profile->plan(), &nodes);
+  bool found_scan = false;
+  for (const PlanNode* node : nodes) {
+    if (node->kind != PlanKind::kScan) continue;
+    found_scan = true;
+    EXPECT_NE(node->predicate, nullptr);
+    EXPECT_EQ(profile->node(node)->rows.load(), 2500u);
   }
-  EXPECT_TRUE(found_filter);
+  EXPECT_TRUE(found_scan);
 }
 
 }  // namespace
