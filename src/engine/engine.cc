@@ -213,15 +213,6 @@ OptimizerOptions Engine::EffectiveOptimizerOptions() const {
     // equals the baseline until the tuner has published a refit).
     options.index_reuse_horizon = knob_tuner_->index_reuse_horizon();
   }
-  if (options_.index.async_builds &&
-      options.background_build_discount >= 1.0) {
-    // Backgrounded builds cost the query stream pool cycles, not
-    // latency; charge a quarter of the synchronous build so the
-    // optimizer starts investing in indexes earlier. Applied in both
-    // MakeOptimizer and MakeOptimizerFor so EXPLAIN renders the plan
-    // Execute actually runs.
-    options.background_build_discount = 0.25;
-  }
   return options;
 }
 
@@ -230,7 +221,20 @@ CostParams Engine::IndexCostParams() const {
   // subspace count the managed build will actually use.
   CostParams params;
   params.ivfpq_m = static_cast<double>(options_.index.ivfpq.pq_m);
+  // Backgrounded builds cost the query stream pool cycles, not latency;
+  // charge a quarter of the synchronous build so the optimizer starts
+  // investing in indexes earlier.
+  params.background_build_discount = options_.index.async_builds ? 0.25 : 1.0;
   return params;
+}
+
+IndexResidencyProbe Engine::ResidencyProbe() const {
+  if (!options_.index.enabled) return nullptr;
+  IndexManager* manager = index_manager_.get();
+  return [manager](const std::string& table, const std::string& column,
+                   const std::string& model, SemanticJoinStrategy kind) {
+    return manager->Residency({table, column, model, kind});
+  };
 }
 
 Optimizer Engine::MakeOptimizer() const {
@@ -238,19 +242,9 @@ Optimizer Engine::MakeOptimizer() const {
   SubplanExecutor executor = [self](const PlanPtr& subplan) {
     return self->ExecuteUnoptimized(subplan);
   };
-  OptimizerOptions options = EffectiveOptimizerOptions();
-  IndexResidencyProbe residency = nullptr;
-  if (options_.index.enabled) {
-    IndexManager* manager = index_manager_.get();
-    residency = [manager](const std::string& table, const std::string& column,
-                          const std::string& model,
-                          SemanticJoinStrategy kind) {
-      return manager->Residency({table, column, model, kind});
-    };
-  }
-  return Optimizer(&catalog_, &models_, &detectors_, options,
-                   std::move(executor), std::move(residency),
-                   IndexCostParams());
+  return Optimizer(&catalog_, &models_, &detectors_,
+                   EffectiveOptimizerOptions(), std::move(executor),
+                   ResidencyProbe(), IndexCostParams());
 }
 
 Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
@@ -260,22 +254,12 @@ Optimizer Engine::MakeOptimizerFor(QueryContext* ctx) const {
   SubplanExecutor executor = [self, ctx](const PlanPtr& subplan) {
     return self->RunPhysical(ctx, subplan);
   };
-  OptimizerOptions options = EffectiveOptimizerOptions();
-  IndexResidencyProbe residency = nullptr;
-  if (options_.index.enabled) {
-    IndexManager* manager = index_manager_.get();
-    residency = [manager](const std::string& table, const std::string& column,
-                          const std::string& model,
-                          SemanticJoinStrategy kind) {
-      return manager->Residency({table, column, model, kind});
-    };
-  }
   // Cardinality estimation and schema-dependent rules resolve names
   // against the query's pinned snapshot, so planning and execution see
   // the same tables even under concurrent catalog writes.
-  return Optimizer(&ctx->snapshot(), &models_, &detectors_, options,
-                   std::move(executor), std::move(residency),
-                   IndexCostParams());
+  return Optimizer(&ctx->snapshot(), &models_, &detectors_,
+                   EffectiveOptimizerOptions(), std::move(executor),
+                   ResidencyProbe(), IndexCostParams());
 }
 
 std::string Engine::KnobSignature() const {
@@ -288,7 +272,8 @@ std::string Engine::KnobSignature() const {
                 o.enable_column_pruning, o.allow_approximate_similarity,
                 options_.index.enabled, o.dip_max_inducing_rows,
                 o.degree_of_parallelism, o.radix_agg_min_groups,
-                o.index_reuse_horizon, o.background_build_discount);
+                o.index_reuse_horizon,
+                IndexCostParams().background_build_discount);
   return buf;
 }
 
@@ -305,14 +290,14 @@ PlanCache::VersionProbe Engine::PlanCacheVersionProbe(
 }
 
 PlanCache::AbsentProbe Engine::PlanCacheAbsentProbe() const {
-  if (!options_.index.enabled) {
+  IndexResidencyProbe residency = ResidencyProbe();
+  if (residency == nullptr) {
     // Manager off: every candidate is permanently "absent"; the class
     // can never flip, so residency never invalidates.
     return [](const PlanCache::IndexCandidate&) { return true; };
   }
-  IndexManager* manager = index_manager_.get();
-  return [manager](const PlanCache::IndexCandidate& c) {
-    return manager->Residency({c.table, c.column, c.model, c.strategy}) ==
+  return [residency](const PlanCache::IndexCandidate& c) {
+    return residency(c.table, c.column, c.model, c.strategy) ==
            IndexResidency::kAbsent;
   };
 }

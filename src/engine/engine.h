@@ -222,10 +222,10 @@ class Engine {
   /// execution) are built internally by Execute.
   Optimizer MakeOptimizer() const;
 
-  /// Engine-level optimizer options with the pool's dop, the tuned index
-  /// reuse horizon and the async build discount filled in. Every
-  /// optimizer, EXPLAIN and the parallel driver read the same values, so
-  /// EXPLAIN and Execute agree on plans and aggregate forms.
+  /// Engine-level optimizer options with the pool's dop and the tuned
+  /// index reuse horizon filled in. Every optimizer, EXPLAIN and the
+  /// parallel driver read the same values, so EXPLAIN and Execute agree
+  /// on plans and aggregate forms.
   OptimizerOptions EffectiveOptimizerOptions() const;
 
  private:
@@ -279,8 +279,13 @@ class Engine {
   /// Per-query optimizer over ctx's pinned snapshot.
   Optimizer MakeOptimizerFor(QueryContext* ctx) const;
   /// Cost constants mirroring the managed index builds' configuration
-  /// (IndexManagerOptions), the base every engine optimizer costs with.
+  /// (IndexManagerOptions), the base every engine optimizer costs with:
+  /// the IVF-PQ subspace count, and the background build discount (0.25
+  /// with async builds, else 1).
   CostParams IndexCostParams() const;
+  /// The IndexManager residency signal the optimizers and the plan
+  /// cache's absent-class probe read; null with the manager off.
+  IndexResidencyProbe ResidencyProbe() const;
   /// Executes a (possibly optimized) plan through the morsel-driven
   /// parallel driver; with one worker thread it runs inline on the
   /// calling thread. `profile`, when given, must be bound to `plan`.

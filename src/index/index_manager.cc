@@ -23,6 +23,19 @@ namespace cre {
 
 namespace {
 
+/// Refresh-vs-rebuild crossover: a stale-by-append entry refreshes while
+/// the appended rows are at most this fraction of the table. Each
+/// incrementally inserted row costs ~4x a bulk-build row (HNSW: a full
+/// beam search against the grown graph with none of the batched build's
+/// sharing, plus the clone), so past 25% the rebuild is cheaper, and it
+/// also re-trains IVF centroids and re-balances the graph.
+constexpr double kRefreshMaxAppendedFraction = 0.25;
+
+/// Write-through attempts per image, and the first retry's backoff
+/// (doubling per retry).
+constexpr int kPersistAttempts = 3;
+constexpr double kPersistFirstBackoffMs = 1.0;
+
 /// Order-sensitive digest of an indexed string column (row count + every
 /// value). This — not the process-local catalog stamp — is what proves a
 /// persisted index image still matches the live table across restarts.
@@ -381,12 +394,14 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::BuildIndex(
                              std::move(postings), words.size()));
 }
 
-bool IndexManager::RefreshIsCheaper(const Catalog::AppendChain& chain) const {
+bool IndexManager::RefreshableLocked(const IndexKey& key,
+                                     const Entry& entry) const {
+  auto found = catalog_->AppendedSince(key.table, entry.table_version);
+  if (!found.ok()) return false;  // a destructive change broke the chain
+  const Catalog::AppendChain& chain = found.ValueUnsafe();
   const double total = static_cast<double>(chain.table->num_rows());
   const double appended = total - static_cast<double>(chain.prefix_rows);
-  if (appended <= 0) return true;  // nothing to insert: trivially cheap
-  return appended * options_.refresh_cost_per_row <=
-         total * options_.rebuild_cost_per_row;
+  return appended <= kRefreshMaxAppendedFraction * total;
 }
 
 Result<std::shared_ptr<const VectorIndex>> IndexManager::RefreshIndex(
@@ -553,10 +568,8 @@ void IndexManager::PersistToDisk(
     const IndexKey& key, const std::shared_ptr<const VectorIndex>& index,
     std::uint64_t catalog_stamp, std::uint64_t content_hash) {
   if (options_.persist_dir.empty() || index == nullptr) return;
-  const int attempts =
-      options_.persist_retry_attempts < 1 ? 1 : options_.persist_retry_attempts;
-  double backoff_ms = options_.persist_retry_backoff_ms;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  double backoff_ms = kPersistFirstBackoffMs;
+  for (int attempt = 0; attempt < kPersistAttempts; ++attempt) {
     if (attempt > 0) {
       // Transient write failure (fd pressure, a racing unlink, a slow
       // filesystem): back off exponentially, then try a fresh tmp file.
@@ -564,11 +577,9 @@ void IndexManager::PersistToDisk(
         MutexLock lock(mu_);
         ++counters_.disk_retries;
       }
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-        backoff_ms *= 2;
-      }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+      backoff_ms *= 2;
     }
     Status s = PersistToDiskOnce(key, index, catalog_stamp, content_hash);
     if (s.ok()) return;
@@ -703,164 +714,190 @@ Result<std::shared_ptr<const VectorIndex>> IndexManager::LoadFromDisk(
 
 Result<std::shared_ptr<const VectorIndex>> IndexManager::GetOrBuild(
     const IndexKey& key, std::uint64_t* built_version) {
-  MutexLock lock(mu_);
-  lookup_keys_.insert(key);
-  bool counted_miss = false;
-  std::string doomed_image;
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) break;
-    EntryPtr entry = it->second;
-    if (entry->building) {
-      // Single-flight: someone else is building this key; wait for the
-      // outcome rather than duplicating the work.
-      while (entry->building) cv_.Wait(lock);
-      continue;  // re-find: the entry may have been replaced or removed
+  CRE_ASSIGN_OR_RETURN(AsyncIndex found, Lookup(key, /*nonblocking=*/false));
+  if (built_version != nullptr) *built_version = found.built_version;
+  return found.index;
+}
+
+Result<IndexManager::AsyncIndex> IndexManager::GetOrBuildAsync(
+    const IndexKey& key) {
+  return Lookup(key, /*nonblocking=*/true);
+}
+
+IndexManager::Job IndexManager::DecideLocked(const IndexKey& key,
+                                             bool background) {
+  Job job;
+  auto it = entries_.find(key);
+  if (it != entries_.end()) {
+    job.entry = it->second;
+    if (job.entry->building) {
+      // Single-flight: someone else is on this key.
+      job.step = background ? Step::kInFlight : Step::kWait;
+      return job;
     }
-    if (entry->table_version == catalog_->Version(key.table)) {
-      entry->lru_tick = ++tick_;
-      ++counters_.hits;
-      if (built_version != nullptr) *built_version = entry->table_version;
-      return entry->index;
+    if (job.entry->table_version == catalog_->Version(key.table)) {
+      job.step = Step::kHit;
+      return job;
     }
-    // Stale. When everything since the build was append-style AND the
-    // appended fraction is small enough that per-row incremental inserts
-    // beat a bulk rebuild (RefreshIsCheaper — by estimated cost, not
-    // merely by the chain existing), renew the entry in place: clone +
-    // insert only the appended rows. Single-flight like a build.
-    auto chain = options_.incremental_maintenance
-                     ? catalog_->AppendedSince(key.table, entry->table_version)
-                     : Result<Catalog::AppendChain>(
-                           Status::Aborted("maintenance off"));
-    if (chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-      if (!counted_miss) {
-        ++counters_.misses;
-        counted_miss = true;
-      }
-      const std::shared_ptr<const VectorIndex> old_index = entry->index;
-      const std::uint64_t old_version = entry->table_version;
-      entry->building = true;
+    if (RefreshableLocked(key, *job.entry)) {
+      // Copy-on-write renewal: queries holding the old index keep probing
+      // it until the refreshed clone is installed.
+      job.step = Step::kRefresh;
+      job.old_index = job.entry->index;
+      job.old_version = job.entry->table_version;
+      job.entry->building = true;
       ++builds_in_flight_;
-      lock.Unlock();
-      std::uint64_t version = 0, hash = 0;
-      // The content hash only feeds the persisted-image header; skip the
-      // O(column) hashing pass entirely when persistence is off.
-      std::uint64_t* hash_out =
-          options_.persist_dir.empty() ? nullptr : &hash;
-      auto refreshed =
-          RefreshIndex(key, old_index, old_version, &version, hash_out);
-      lock.Lock();
-      const bool ok = refreshed.ok();
-      FinishInstallLocked(key, entry, std::move(refreshed), version,
-                          built_version, InstallSource::kRefresh);
-      if (ok) {
-        std::shared_ptr<const VectorIndex> index = entry->index;
-        lock.Unlock();
-        SchedulePersist(key, index, version, hash);
-        return index;
-      }
-      continue;  // chain broke mid-flight: fall back to a full rebuild
+      return job;
     }
-    // Version-stamped invalidation: the base table changed destructively
-    // since the build; drop the stale entry and fall through to a rebuild.
-    resident_bytes_ -= entry->bytes;
+    // Version-stamped invalidation: the table changed destructively (or
+    // grew past the refresh crossover) since the build. A this-process
+    // image stamped before the change can never validate again (the
+    // content hash now disagrees); reclaim it instead of leaving a dead
+    // file for the next startup scan. Scanned images keep their benefit
+    // of the doubt until load time.
+    resident_bytes_ -= job.entry->bytes;
     entries_.erase(it);
     ++counters_.invalidations;
-    // A this-process image stamped before the destructive change can
-    // never validate again (the content hash now disagrees); reclaim it
-    // instead of leaving a dead file for the next startup scan to carry.
-    // Scanned images keep their benefit of the doubt until load time.
     auto pit = persisted_.find(key);
     if (pit != persisted_.end() && pit->second.stamp_local &&
         pit->second.catalog_stamp != catalog_->Version(key.table)) {
-      doomed_image = pit->second.path;
+      job.doomed_image = pit->second.path;
       persisted_.erase(pit);
       ++counters_.disk_gc;
     }
     CheckAccountingLocked();
-    break;
   }
-
-  // Miss: install a building placeholder, then build outside the lock so
-  // concurrent lookups of other keys (and waiters on this one) don't
-  // serialize behind embedding + construction. A persisted image, when
-  // present and still matching the live table, is adopted instead of
-  // paying the build.
-  if (!counted_miss) ++counters_.misses;
-  EntryPtr entry = std::make_shared<Entry>();
-  entry->building = true;
-  entries_[key] = entry;
+  // Miss: install a building placeholder; the work runs outside the lock
+  // so lookups of other keys (and waiters on this one) don't serialize
+  // behind embedding + construction. Deserializing an image is orders of
+  // magnitude cheaper than a build, so even a background caller warm-
+  // starts inline — but only from an image plausible for the live table.
+  job.step = persisted_.count(key) != 0 &&
+                     (!background || PersistedPlausibleLocked(key))
+                 ? Step::kDiskLoad
+                 : Step::kBuild;
+  job.entry = std::make_shared<Entry>();
+  job.entry->building = true;
+  entries_[key] = job.entry;
   ++builds_in_flight_;
-  const bool try_disk = HasPersistedLocked(key);
-  lock.Unlock();
-  if (!doomed_image.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(doomed_image, ec);
-  }
+  return job;
+}
 
-  std::uint64_t version = 0, hash = 0;
-  std::uint64_t* hash_out = options_.persist_dir.empty() ? nullptr : &hash;
-  InstallSource source = InstallSource::kBuild;
-  Result<std::shared_ptr<const VectorIndex>> built(
-      Status::Internal("index lookup never attempted"));
-  if (try_disk) {
-    built = LoadFromDisk(key, &version, &hash);
-    if (built.ok()) {
-      source = InstallSource::kDiskLoad;
-    } else if (built.status().IsInvalidArgument() ||
-               built.status().code() == StatusCode::kOutOfRange) {
-      // Only a validation verdict (foreign/corrupt/truncated/stale
-      // content) proves the image bad. Transient failures — the file
-      // unreadable under fd pressure, the table momentarily dropped —
-      // must leave a still-valid image in place for the next start.
+Result<std::shared_ptr<const VectorIndex>> IndexManager::RunJob(
+    const IndexKey& key, Job* job, bool serial) {
+  // The content hash only feeds the persisted-image header; skip the
+  // O(column) hashing pass entirely when persistence is off.
+  std::uint64_t* hash = options_.persist_dir.empty() ? nullptr : &job->hash;
+  if (job->step == Step::kRefresh) {
+    return RefreshIndex(key, job->old_index, job->old_version, &job->version,
+                        hash);
+  }
+  if (job->step == Step::kDiskLoad) {
+    auto loaded = LoadFromDisk(key, &job->version, hash);
+    if (loaded.ok()) return loaded;
+    // Only a validation verdict (foreign/corrupt/truncated/stale content)
+    // proves the image bad. Transient failures — the file unreadable
+    // under fd pressure, the table momentarily dropped — must leave a
+    // still-valid image in place for the next start.
+    if (loaded.status().IsInvalidArgument() ||
+        loaded.status().code() == StatusCode::kOutOfRange) {
       DropPersisted(key);
     }
+    job->step = Step::kBuild;
   }
-  if (source != InstallSource::kDiskLoad) {
-    built = BuildIndex(key, &version, hash_out);
-  }
+  return BuildIndex(key, &job->version, hash, serial);
+}
 
-  lock.Lock();
-  const Status status = built.ok() ? Status::OK() : built.status();
-  FinishInstallLocked(key, entry, std::move(built), version,
-                      built_version, source);
-  if (!status.ok()) return status;
-  if (source == InstallSource::kDiskLoad) {
-    // The adopted image is now proven fresh for the live table at
-    // `version`: localize its stamp so subsequent plausibility probes
-    // and anti-rollback checks compare real (this-process) versions.
-    auto pit = persisted_.find(key);
-    if (pit != persisted_.end()) {
-      pit->second.catalog_stamp = version;
-      pit->second.stamp_local = true;
+Result<IndexManager::AsyncIndex> IndexManager::Lookup(const IndexKey& key,
+                                                      bool nonblocking) {
+  MutexLock lock(mu_);
+  lookup_keys_.insert(key);
+  TaskRunner* const runner =
+      nonblocking && options_.async_builds ? background_runner_ : nullptr;
+  bool counted_miss = false;
+  for (;;) {
+    Job job = DecideLocked(key, runner != nullptr);
+    switch (job.step) {
+      case Step::kHit:
+        job.entry->lru_tick = ++tick_;
+        ++counters_.hits;
+        return AsyncIndex{job.entry->index, job.entry->table_version, false};
+      case Step::kInFlight:
+        ++counters_.async_fallbacks;
+        return AsyncIndex{nullptr, 0, true};
+      case Step::kWait:
+        while (job.entry->building) cv_.Wait(lock);
+        continue;  // decide again: the entry may be replaced or removed
+      default:
+        break;
     }
+    if (!counted_miss) ++counters_.misses;
+    counted_miss = true;
+    const bool in_background = runner != nullptr && job.step != Step::kDiskLoad;
+    if (in_background) {
+      ++counters_.background_builds;
+      ++counters_.async_fallbacks;
+    }
+    lock.Unlock();
+    if (!job.doomed_image.empty()) {
+      std::error_code ec;
+      std::filesystem::remove(job.doomed_image, ec);
+    }
+
+    if (in_background) {
+      // Builds serially: this task runs *on* a pool worker (see
+      // BuildIndex). The building placeholder keeps it single-flight.
+      runner->Submit([this, key, job = std::move(job)]() mutable {
+        auto built = RunJob(key, &job, /*serial=*/true);
+        // Persist BEFORE installing: FinishInstallLocked releases
+        // WaitForBuilds (builds_in_flight_), so nothing in this task may
+        // touch the manager after it — a waiter is free to destroy the
+        // manager the moment the count drops.
+        if (built.ok()) {
+          PersistToDisk(key, built.ValueUnsafe(), job.version, job.hash);
+        }
+        MutexLock task_lock(mu_);
+        FinishInstallLocked(key, job, std::move(built));
+      });
+      return AsyncIndex{nullptr, 0, true};
+    }
+
+    auto built = RunJob(key, &job, /*serial=*/false);
+    lock.Lock();
+    const Status status = built.ok() ? Status::OK() : built.status();
+    FinishInstallLocked(key, job, std::move(built));
+    if (!status.ok()) {
+      // A refresh whose chain broke mid-flight dropped its entry: decide
+      // again, which now rebuilds.
+      if (job.step == Step::kRefresh) continue;
+      return status;
+    }
+    AsyncIndex found{job.entry->index, job.version, false};
+    lock.Unlock();
+    if (job.step != Step::kDiskLoad) {
+      // Write-through after install, on the background runner when one
+      // is wired, so file I/O stays off the query's latency.
+      SchedulePersist(key, found.index, job.version, job.hash);
+    }
+    return found;
   }
-  std::shared_ptr<const VectorIndex> index = entry->index;
-  lock.Unlock();
-  if (source == InstallSource::kBuild) {
-    // Background write-through when a runner is wired: file I/O comes off
-    // the first query's latency (ROADMAP "persistence hygiene").
-    SchedulePersist(key, index, version, hash);
-  }
-  return index;
 }
 
 void IndexManager::FinishInstallLocked(
-    const IndexKey& key, const EntryPtr& entry,
-    Result<std::shared_ptr<const VectorIndex>>&& built, std::uint64_t version,
-    std::uint64_t* built_version, InstallSource source) {
+    const IndexKey& key, const Job& job,
+    Result<std::shared_ptr<const VectorIndex>>&& built) {
+  Entry* entry = job.entry.get();
   entry->building = false;
   --builds_in_flight_;
   if (!built.ok()) {
-    entry->build_status = built.status();
-    if (source == InstallSource::kBuild) ++counters_.build_failures;
-    if (source == InstallSource::kRefresh) ++counters_.invalidations;
-    // Only remove our own entry (a concurrent invalidation path never
-    // replaces a building entry, but stay defensive). A failed refresh
-    // drops the stale entry it was renewing — its footprint leaves the
-    // aggregate with it — and the caller falls back to a rebuild.
+    if (job.step == Step::kBuild) ++counters_.build_failures;
+    if (job.step == Step::kRefresh) ++counters_.invalidations;
+    // Only remove our own entry (an invalidation never replaces a
+    // building entry, but stay defensive). A failed refresh drops the
+    // stale entry it was renewing — its footprint leaves the aggregate
+    // with it — and the caller falls back to a rebuild.
     auto it = entries_.find(key);
-    if (it != entries_.end() && it->second == entry) {
+    if (it != entries_.end() && it->second == job.entry) {
       resident_bytes_ -= entry->bytes;
       entries_.erase(it);
     }
@@ -873,23 +910,31 @@ void IndexManager::FinishInstallLocked(
   // real one and the budget would silently over-admit.
   resident_bytes_ -= entry->bytes;
   entry->index = std::move(built).ValueUnsafe();
-  entry->table_version = version;
-  if (built_version != nullptr) *built_version = version;
+  entry->table_version = job.version;
   entry->bytes = entry->index->MemoryBytes();
   resident_bytes_ += entry->bytes;
   entry->lru_tick = ++tick_;
-  switch (source) {
-    case InstallSource::kBuild:
-      ++counters_.builds;
-      break;
-    case InstallSource::kRefresh:
+  switch (job.step) {
+    case Step::kRefresh:
       ++counters_.refreshes;
       break;
-    case InstallSource::kDiskLoad:
+    case Step::kDiskLoad: {
       ++counters_.disk_loads;
+      // The adopted image is now proven fresh for the live table at
+      // job.version: localize its stamp so plausibility probes and
+      // anti-rollback checks compare real (this-process) versions.
+      auto pit = persisted_.find(key);
+      if (pit != persisted_.end()) {
+        pit->second.catalog_stamp = job.version;
+        pit->second.stamp_local = true;
+      }
+      break;
+    }
+    default:
+      ++counters_.builds;
       break;
   }
-  EvictForBudgetLocked(entry.get());
+  EvictForBudgetLocked(entry);
   cv_.NotifyAll();
   CheckAccountingLocked();
 }
@@ -897,143 +942,6 @@ void IndexManager::FinishInstallLocked(
 void IndexManager::EnableAsyncBuilds(TaskRunner* background_runner) {
   MutexLock lock(mu_);
   background_runner_ = background_runner;
-}
-
-Result<IndexManager::AsyncIndex> IndexManager::GetOrBuildAsync(
-    const IndexKey& key) {
-  std::string doomed_image;
-  {
-    MutexLock lock(mu_);
-    lookup_keys_.insert(key);
-    const bool async =
-        background_runner_ != nullptr && options_.async_builds;
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      EntryPtr entry = it->second;
-      if (entry->building) {
-        if (async) {
-          // Someone (a sibling query or the background runner) is
-          // already on it; report in-flight instead of joining the wait.
-          ++counters_.async_fallbacks;
-          return AsyncIndex{nullptr, 0, true};
-        }
-        // Async off: fall through to the blocking path below, which
-        // joins the single-flight wait exactly like GetOrBuild.
-      } else if (entry->table_version == catalog_->Version(key.table)) {
-        entry->lru_tick = ++tick_;
-        ++counters_.hits;
-        return AsyncIndex{entry->index, entry->table_version, false};
-      } else if (!async) {
-        // Stale with async off: the blocking path below refreshes or
-        // rebuilds as appropriate; don't pre-judge here.
-      } else if (auto chain =
-                     options_.incremental_maintenance
-                         ? catalog_->AppendedSince(key.table,
-                                                   entry->table_version)
-                         : Result<Catalog::AppendChain>(
-                               Status::Aborted("maintenance off"));
-                 chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-        // Stale by appends only, and the appended fraction is below the
-        // cost crossover: renew incrementally at background priority —
-        // the query stream keeps probing brute-force (or the old index
-        // via its own snapshot pairing) until the refresh lands.
-        // Single-flight via the building flag. Past the crossover the
-        // entry drops below and a full rebuild is scheduled instead.
-        ++counters_.misses;
-        ++counters_.background_builds;
-        ++counters_.async_fallbacks;
-        const std::shared_ptr<const VectorIndex> old_index = entry->index;
-        const std::uint64_t old_version = entry->table_version;
-        entry->building = true;
-        ++builds_in_flight_;
-        background_runner_->Submit(
-            [this, key, entry, old_index, old_version] {
-              std::uint64_t version = 0, hash = 0;
-              auto refreshed = RefreshIndex(
-                  key, old_index, old_version, &version,
-                  options_.persist_dir.empty() ? nullptr : &hash);
-              // Persist BEFORE installing: FinishInstallLocked releases
-              // WaitForBuilds (builds_in_flight_), so nothing in this
-              // task may touch the manager after it — a waiter is free
-              // to destroy the manager the moment the count drops.
-              if (refreshed.ok()) {
-                PersistToDisk(key, refreshed.ValueUnsafe(), version, hash);
-              }
-              MutexLock inner_lock(mu_);
-              FinishInstallLocked(key, entry, std::move(refreshed), version,
-                                  nullptr, InstallSource::kRefresh);
-            });
-        return AsyncIndex{nullptr, 0, true};
-      } else {
-        // Stale destructively: drop and fall through to scheduling a
-        // full background rebuild. A this-process image stamped before
-        // the change is permanently stale — reclaim it (same reasoning
-        // as the blocking path's invalidation).
-        resident_bytes_ -= entry->bytes;
-        entries_.erase(it);
-        ++counters_.invalidations;
-        auto pit = persisted_.find(key);
-        if (pit != persisted_.end() && pit->second.stamp_local &&
-            pit->second.catalog_stamp != catalog_->Version(key.table)) {
-          doomed_image = pit->second.path;
-          persisted_.erase(pit);
-          ++counters_.disk_gc;
-        }
-        CheckAccountingLocked();
-      }
-    }
-    // Reaching here async: the entry was absent or stale (a building
-    // entry returned in-flight above) — schedule the background build,
-    // unless a plausibly fresh persisted image can serve it:
-    // deserialization is orders of magnitude cheaper than a build, so
-    // warm-starting synchronously makes even the first post-restart
-    // query index-backed. Mere image existence is not enough — a stale
-    // image would be rejected at load and drag this serving-path call
-    // into a blocking rebuild.
-    if (async && !PersistedPlausibleLocked(key)) {
-      ++counters_.misses;
-      ++counters_.background_builds;
-      ++counters_.async_fallbacks;
-      EntryPtr entry = std::make_shared<Entry>();
-      entry->building = true;
-      entries_[key] = entry;
-      ++builds_in_flight_;
-      // Single-flight still holds: subsequent lookups of this key see the
-      // building placeholder above until the task completes.
-      background_runner_->Submit([this, key, entry] {
-        std::uint64_t version = 0, hash = 0;
-        auto built =
-            BuildIndex(key, &version,
-                       options_.persist_dir.empty() ? nullptr : &hash,
-                       /*serial=*/true);
-        // Persist BEFORE installing — see the refresh task above: the
-        // install releases WaitForBuilds, after which this task must
-        // not touch the manager.
-        if (built.ok()) {
-          PersistToDisk(key, built.ValueUnsafe(), version, hash);
-        }
-        MutexLock inner_lock(mu_);
-        FinishInstallLocked(key, entry, std::move(built), version,
-                            nullptr, InstallSource::kBuild);
-      });
-      lock.Unlock();
-      if (!doomed_image.empty()) {
-        std::error_code ec;
-        std::filesystem::remove(doomed_image, ec);
-      }
-      return AsyncIndex{nullptr, 0, true};
-    }
-  }
-  if (!doomed_image.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(doomed_image, ec);
-  }
-  // Async disabled, or a persisted image is available: preserve the
-  // blocking single-flight behavior (which itself prefers disk to build).
-  std::uint64_t version = 0;
-  CRE_ASSIGN_OR_RETURN(std::shared_ptr<const VectorIndex> index,
-                       GetOrBuild(key, &version));
-  return AsyncIndex{std::move(index), version, false};
 }
 
 void IndexManager::WaitForBuilds() {
@@ -1101,20 +1009,14 @@ IndexResidency IndexManager::Residency(const IndexKey& key) const {
     if (it->second->table_version == catalog_->Version(key.table)) {
       return IndexResidency::kResident;
     }
-    // Stale — but stale *by appends only* (and below the refresh-cost
-    // crossover) means the next lookup renews it incrementally at a
-    // fraction of a rebuild. The optimizer must see that (kRefreshable),
-    // or with a conservative reuse horizon it would flip to brute force
-    // after every append and planned queries would never reach the
-    // refresh path at all. Past the crossover the lookup will rebuild,
-    // so advertising kRefreshable would understate the cost — the entry
-    // reports like any other stale entry instead.
-    if (options_.incremental_maintenance) {
-      auto chain =
-          catalog_->AppendedSince(key.table, it->second->table_version);
-      if (chain.ok() && RefreshIsCheaper(chain.ValueUnsafe())) {
-        return IndexResidency::kRefreshable;
-      }
+    // Stale — but refreshable means the next lookup renews it
+    // incrementally at a fraction of a rebuild. The optimizer must see
+    // that (kRefreshable), or with a conservative reuse horizon it would
+    // flip to brute force after every append and planned queries would
+    // never reach the refresh path at all. Past the crossover the lookup
+    // rebuilds, so the entry reports like any other stale entry.
+    if (RefreshableLocked(key, *it->second)) {
+      return IndexResidency::kRefreshable;
     }
   }
   if (PersistedPlausibleLocked(key)) return IndexResidency::kOnDisk;

@@ -45,34 +45,12 @@ struct IndexManagerOptions {
   /// semantic operators build per-execution indexes as before.
   bool enabled = true;
   /// Asynchronous builds: when true (and the engine has wired a
-  /// background runner), a cold GetOrBuildAsync lookup enqueues the build
-  /// as a background-priority task and returns immediately so the
-  /// requesting query is served by the brute-force path — the cold-build
-  /// latency is hidden from the query stream entirely. When false,
-  /// GetOrBuildAsync degrades to the blocking GetOrBuild.
+  /// background runner), a GetOrBuildAsync lookup that needs a build or
+  /// a refresh enqueues it as one background-priority task and returns
+  /// immediately, so the requesting query is served by the brute-force
+  /// path and the cold-build latency is hidden from the query stream.
+  /// When false, GetOrBuildAsync blocks exactly like GetOrBuild.
   bool async_builds = false;
-  /// Incremental maintenance: when true, a stale entry whose base table
-  /// changed only by catalog Appends since the build is *refreshed* —
-  /// the resident index is cloned (copy-on-write: in-flight queries keep
-  /// probing the old immutable instance), the appended rows' new
-  /// distinct values are embedded and inserted incrementally, and the
-  /// clone is swapped in under the append chain's stamp — instead of
-  /// being invalidated and rebuilt from scratch. Refreshes are
-  /// single-flight and run at background priority under async_builds.
-  bool incremental_maintenance = true;
-  /// Refresh-vs-rebuild crossover. Refreshing touches only the appended
-  /// rows, but each incrementally inserted row costs a multiple of a
-  /// bulk-build row (HNSW: a full beam search against the grown graph
-  /// with none of the batched build's sharing; plus the clone). A stale
-  /// entry refreshes only while
-  ///   appended_rows * refresh_cost_per_row
-  ///     <= total_rows * rebuild_cost_per_row
-  /// and rebuilds otherwise — with the defaults the crossover sits at
-  /// 25% appended, so a table that nearly doubled since the build takes
-  /// the rebuild (which also re-trains IVF centroids and re-balances the
-  /// graph) instead of grinding through an insert-dominated refresh.
-  double refresh_cost_per_row = 4.0;
-  double rebuild_cost_per_row = 1.0;
   /// On-disk persistence: when non-empty, every successful build/refresh
   /// write-throughs a versioned index image into this directory
   /// (<dir>/cre_<keyhash>.idx, atomic tmp+rename), and a cold lookup
@@ -83,6 +61,8 @@ struct IndexManagerOptions {
   /// column; a load whose identity/content does not match the live
   /// table, or whose file is truncated/corrupt, is rejected and the
   /// lookup falls back to a clean rebuild. Never serves stale data.
+  /// A write that fails transiently is retried (3 attempts, backoff from
+  /// 1 ms doubling); one that still fails is simply not persisted.
   std::string persist_dir;
   /// Total bytes of persisted images kept in persist_dir before the GC
   /// sweep reclaims the oldest (by file modification time). 0 = no
@@ -97,12 +77,6 @@ struct IndexManagerOptions {
   /// the build with kResourceExhausted — the semantic strategies then
   /// degrade to the brute-force fallback instead of dying.
   ResourceGovernor* governor = nullptr;
-  /// Bounded retry for transient persisted-image write failures: total
-  /// attempts per image (>= 1) with exponential backoff starting at
-  /// `persist_retry_backoff_ms` (doubling per retry). Retries are counted
-  /// in Stats::disk_retries / cre_index_disk_retry_total.
-  int persist_retry_attempts = 3;
-  double persist_retry_backoff_ms = 1.0;
   /// Build parameters for the index families the manager constructs.
   LshOptions lsh;
   IvfOptions ivf;
@@ -123,7 +97,9 @@ struct IndexManagerOptions {
 ///    A destructive change (Put/Drop) makes the entry stale and the next
 ///    lookup rebuilds; an append-style change (Catalog::Append) makes the
 ///    next lookup *refresh* the entry in place — clone, insert only the
-///    appended rows, swap — at a fraction of the rebuild cost;
+///    appended rows, swap — while the appended rows are at most 25% of
+///    the table (past that a bulk rebuild is cheaper and re-balances the
+///    structure, so the lookup rebuilds);
 ///  - a memory budget with LRU eviction over ready entries, with byte
 ///    accounting recomputed on every install (builds grow on refresh);
 ///  - on-disk persistence (persist_dir): built indexes spill to disk and
@@ -131,6 +107,12 @@ struct IndexManagerOptions {
 ///  - thread-safe concurrent access with single-flight builds: concurrent
 ///    queries needing the same absent index block on one build instead of
 ///    duplicating it.
+///
+/// Both lookups run one state machine: a single locked step decides hit,
+/// wait, in flight, refresh, build or warm start from disk, and the
+/// chosen work then runs either inline on the caller (GetOrBuild; a warm
+/// start; GetOrBuildAsync without async builds) or as one background
+/// task.
 ///
 /// Returned indexes are immutable and safe to probe from any thread; they
 /// stay alive (shared_ptr) even if evicted, refreshed, or invalidated
@@ -256,7 +238,6 @@ class IndexManager {
     std::size_t bytes = 0;
     std::uint64_t lru_tick = 0;
     bool building = false;
-    Status build_status;
   };
   using EntryPtr = std::shared_ptr<Entry>;
 
@@ -281,9 +262,48 @@ class IndexManager {
     std::int64_t mtime_ns = 0;
   };
 
-  /// How a finished index reached its entry; selects the stats counter
-  /// and whether a write-through is warranted.
-  enum class InstallSource { kBuild, kRefresh, kDiskLoad };
+  /// What one lookup does, chosen by DecideLocked.
+  enum class Step {
+    kHit,       ///< a fresh resident entry serves it
+    kWait,      ///< blocking caller: join the in-flight build, decide again
+    kInFlight,  ///< non-blocking caller: report the in-flight build
+    kRefresh,   ///< stale by appends under the crossover: renew in place
+    kBuild,     ///< absent, or stale entry dropped: full build
+    kDiskLoad,  ///< absent with a persisted image: warm start, else build
+  };
+
+  /// A lookup's decision and the work it hands to the executor (inline
+  /// on the caller or one background task). `step` ends as the work
+  /// that actually ran: a rejected warm start becomes kBuild.
+  struct Job {
+    Step step = Step::kBuild;
+    /// The existing entry (hit/wait/refresh) or the fresh placeholder.
+    EntryPtr entry;
+    std::shared_ptr<const VectorIndex> old_index;  ///< refresh source
+    std::uint64_t old_version = 0;
+    /// This-process image of a dropped entry, unlinked outside mu_.
+    std::string doomed_image;
+    std::uint64_t version = 0;  ///< catalog stamp of the produced index
+    std::uint64_t hash = 0;     ///< its content hash (with persistence)
+  };
+
+  /// The one lookup path behind GetOrBuild (`nonblocking` false) and
+  /// GetOrBuildAsync (true).
+  Result<AsyncIndex> Lookup(const IndexKey& key, bool nonblocking);
+
+  /// The single locked decision step. `background` is true when the
+  /// work would run on the background runner: a building entry is then
+  /// reported in flight instead of waited on, and a cold key warm-starts
+  /// from disk only when its image is plausible (a stale image must not
+  /// drag a serving-path lookup into a blocking rebuild). For refresh,
+  /// build and load it marks the entry building; a stale entry that
+  /// cannot refresh is dropped first, and its this-process image with it.
+  Job DecideLocked(const IndexKey& key, bool background) CRE_REQUIRES(mu_);
+
+  /// Runs the work a decision chose (no locks held). `serial` as for
+  /// BuildIndex.
+  Result<std::shared_ptr<const VectorIndex>> RunJob(const IndexKey& key,
+                                                    Job* job, bool serial);
 
   /// Embeds the key's column and constructs+builds the index (no locks).
   /// `serial` forces a pool-free build: background builds run *on* a
@@ -312,15 +332,14 @@ class IndexManager {
       const IndexKey& key, std::uint64_t* table_version,
       std::uint64_t* content_hash) const;
 
-  /// Installs a finished build/refresh/load into `entry` (or removes the
-  /// entry on failure) and wakes waiters. Recomputes the entry's byte
+  /// Installs a finished build/refresh/load into `job.entry` (or removes
+  /// the entry on failure) and wakes waiters. Recomputes the entry's byte
   /// footprint from the installed index — entries grow across refreshes,
-  /// so bytes are never trusted from a previous install. Caller holds
-  /// mu_.
-  void FinishInstallLocked(const IndexKey& key, const EntryPtr& entry,
-                           Result<std::shared_ptr<const VectorIndex>>&& built,
-                           std::uint64_t version, std::uint64_t* built_version,
-                           InstallSource source) CRE_REQUIRES(mu_);
+  /// so bytes are never trusted from a previous install. A warm start
+  /// also localizes the adopted image's stamp. Caller holds mu_.
+  void FinishInstallLocked(const IndexKey& key, const Job& job,
+                           Result<std::shared_ptr<const VectorIndex>>&& built)
+      CRE_REQUIRES(mu_);
 
   /// Write-through of a ready index image (tmp + atomic rename), with
   /// bounded retry + exponential backoff on transient failures, then
@@ -363,17 +382,13 @@ class IndexManager {
                                 std::vector<std::string>* doomed)
       CRE_REQUIRES(mu_);
 
-  bool HasPersistedLocked(const IndexKey& key) const CRE_REQUIRES(mu_) {
-    return persisted_.find(key) != persisted_.end();
-  }
-
-  /// Cost-based refresh-vs-rebuild decision over a verified append
-  /// chain: refresh while appended * refresh_cost_per_row <=
-  /// total * rebuild_cost_per_row (see IndexManagerOptions). Every
-  /// refresh branch (sync, async, Residency's advertisement) runs the
-  /// same predicate so the optimizer's kRefreshable signal and the
-  /// manager's actual behavior never disagree.
-  bool RefreshIsCheaper(const Catalog::AppendChain& chain) const;
+  /// The refresh predicate for a stale `entry`: everything since its
+  /// build was append-style AND the appended rows are at most 25% of the
+  /// table (past that, a bulk rebuild is cheaper than per-row inserts).
+  /// Both the lookup and Residency ask it, so the optimizer's
+  /// kRefreshable signal and what a lookup does never disagree.
+  bool RefreshableLocked(const IndexKey& key, const Entry& entry) const
+      CRE_REQUIRES(mu_);
 
   /// Cheap plausibility of the persisted image against the live table
   /// (identity known, row counts agree) — the same probe Residency uses.

@@ -94,7 +94,8 @@ struct CostParams {
   /// fig_index_persistence measures the refresh at ~8x under rebuild.
   double index_refresh_per_row = 120.0;
   /// Multiplier on the amortized cold-build charge when the IndexManager
-  /// runs builds asynchronously (Engine sets < 1 with async builds on).
+  /// runs builds asynchronously (Engine::IndexCostParams sets 0.25 with
+  /// IndexManagerOptions::async_builds on, else 1).
   /// A background build never adds latency to the requesting query — it
   /// runs at QueryPriority::kBackground while the query is served by the
   /// brute-force path — so only its steady-state CPU draw on the shared

@@ -31,10 +31,6 @@ struct OptimizerOptions {
   /// speculatively; raise for repeated-traffic workloads so the optimizer
   /// invests in IndexManager builds that later queries hit warm.
   double index_reuse_horizon = 1.0;
-  /// Multiplier on the amortized cold-build charge when IndexManager
-  /// builds run asynchronously (see CostParams::background_build_discount;
-  /// the engine lowers it automatically when async builds are on).
-  double background_build_discount = 1.0;
   /// Minimum estimated group cardinality at which the parallel driver
   /// switches grouped aggregation from per-worker hash states (whose
   /// partials merge serially at the barrier) to the two-phase
@@ -54,9 +50,9 @@ struct OptimizerOptions {
 class Optimizer {
  public:
   /// `base_params` carries the cost constants the options do not cover
-  /// (the engine seeds the index-build parameters it actually uses, e.g.
-  /// CostParams::ivfpq_m); the options override parallelism, reuse
-  /// horizon and build discount on top of it.
+  /// (the engine seeds the index-build parameters it actually uses:
+  /// CostParams::ivfpq_m and background_build_discount); the options
+  /// override parallelism and reuse horizon on top of it.
   Optimizer(const Catalog* catalog, const ModelRegistry* models,
             const DetectorRegistry* detectors, OptimizerOptions options = {},
             SubplanExecutor subplan_executor = nullptr,
@@ -89,8 +85,6 @@ class Optimizer {
     params.parallelism = static_cast<double>(
         std::max<std::size_t>(1, options.degree_of_parallelism));
     params.index_reuse_horizon = std::max(1.0, options.index_reuse_horizon);
-    params.background_build_discount =
-        std::min(1.0, std::max(0.0, options.background_build_discount));
     return params;
   }
 

@@ -222,8 +222,6 @@ TEST_P(PersistFaultMatrixTest, WriteThroughFailsSoftAndRecovers) {
 
   IndexManagerOptions options;
   options.persist_dir = dir;
-  options.persist_retry_attempts = 2;
-  options.persist_retry_backoff_ms = 0.1;
 
   {
     auto manager = fx.MakeManager(options);
@@ -359,8 +357,6 @@ class EngineChaosTest : public ::testing::Test {
     eo.index.enabled = true;
     eo.index.async_builds = false;
     eo.index.persist_dir = dir_;
-    eo.index.persist_retry_attempts = 2;
-    eo.index.persist_retry_backoff_ms = 0.1;
     eo.governor.per_query_memory_bytes = 1ull << 30;
     engine_ = std::make_unique<Engine>(eo);
     engine_->models().Put("m", MakeModel());

@@ -535,9 +535,9 @@ TEST(IncrementalRefreshTest, ByteAccountingFollowsRefreshGrowth) {
 }
 
 TEST(IncrementalRefreshTest, CostCrossoverPicksRefreshOrRebuild) {
-  // Default cost knobs (refresh 4x the per-row cost of a rebuild row)
-  // place the crossover at 25% appended: a 5% append must refresh, a 30%
-  // append must fall through to a full rebuild.
+  // The crossover sits at 25% appended (an incremental insert costs ~4x a
+  // bulk-build row): a 5% append must refresh, a 30% append must fall
+  // through to a full rebuild.
   Fixture f;
   f.catalog.Put("t", MakeStringTable(Words(400, "w_")));
   IndexManager manager = f.MakeManager();
@@ -561,28 +561,16 @@ TEST(IncrementalRefreshTest, CostCrossoverPicksRefreshOrRebuild) {
   EXPECT_EQ(large.ValueOrDie()->size(), 600u);
   EXPECT_EQ(manager.stats().refreshes, 1u) << "past crossover must rebuild";
   EXPECT_EQ(manager.stats().builds, 2u);
-
-  // The knobs steer the decision: with refresh priced at zero the same
-  // 30%-scale append refreshes again.
-  IndexManagerOptions cheap;
-  cheap.refresh_cost_per_row = 0.0;
-  IndexManager always_refresh = f.MakeManager(cheap);
-  ASSERT_TRUE(always_refresh.GetOrBuild(key).ok());
-  ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(Words(250, "x_"))).ok());
-  ASSERT_TRUE(always_refresh.GetOrBuild(key).ok());
-  EXPECT_EQ(always_refresh.stats().refreshes, 1u);
-  EXPECT_EQ(always_refresh.stats().builds, 1u);
 }
 
 TEST(IncrementalRefreshTest, ConcurrentQueriesDuringAppendsAreClean) {
   Fixture f;
-  f.catalog.Put("t", MakeStringTable(Words(900, "w_", 300)));
   // This test exercises refresh/read concurrency, not the cost policy:
-  // pin refresh as always-cheaper so a reader that observes many pending
-  // appends at once never crosses into the rebuild regime.
-  IndexManagerOptions concurrency_options;
-  concurrency_options.refresh_cost_per_row = 0.0;
-  IndexManager manager = f.MakeManager(concurrency_options);
+  // the base is large enough that even a reader observing all 8 x 50
+  // appends at once (400 of 1900 rows) stays under the 25% crossover and
+  // never crosses into the rebuild regime.
+  f.catalog.Put("t", MakeStringTable(Words(1500, "w_", 300)));
+  IndexManager manager = f.MakeManager();
   IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
   ASSERT_TRUE(manager.GetOrBuild(key).ok());
 
@@ -622,7 +610,7 @@ TEST(IncrementalRefreshTest, ConcurrentQueriesDuringAppendsAreClean) {
 
   auto final_index = manager.GetOrBuild(key);
   ASSERT_TRUE(final_index.ok());
-  EXPECT_EQ(final_index.ValueOrDie()->size(), 900u + 8u * 50u);
+  EXPECT_EQ(final_index.ValueOrDie()->size(), 1500u + 8u * 50u);
   EXPECT_EQ(manager.stats().builds, 1u) << "appends must never rebuild";
 }
 
@@ -879,6 +867,136 @@ TEST(IndexPersistenceTest, RefreshedImageWarmStartsAtTheNewVersion) {
   EXPECT_EQ(second.stats().builds, 0u);
   EXPECT_EQ(second.stats().disk_loads, 1u);
 }
+
+// ---- one key through every lookup outcome, blocking and async ----
+
+/// Walks one key through cold build, hit, refresh, past-crossover
+/// rebuild, destructive invalidation and eviction + warm start, through
+/// either the blocking GetOrBuild (param false) or the non-blocking
+/// GetOrBuildAsync + WaitForBuilds (param true). Both sides must reach
+/// the same index sizes with the same counters.
+class IndexLookupLifecycleTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool async() const { return GetParam(); }
+
+  /// One lookup. `expect_background` says whether the async side should
+  /// report a build in flight (and be drained with WaitForBuilds) before
+  /// the key serves; the blocking side always serves at once.
+  std::shared_ptr<const VectorIndex> Lookup(IndexManager* manager,
+                                            const IndexKey& key,
+                                            bool expect_background) {
+    if (!async()) {
+      auto r = manager->GetOrBuild(key);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      return r.ok() ? r.ValueOrDie() : nullptr;
+    }
+    auto r = manager->GetOrBuildAsync(key);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return nullptr;
+    EXPECT_EQ(r.ValueOrDie().build_in_flight, expect_background)
+        << key.ToString();
+    if (!r.ValueOrDie().build_in_flight) return r.ValueOrDie().index;
+    EXPECT_EQ(r.ValueOrDie().index, nullptr);
+    manager->WaitForBuilds();
+    auto ready = manager->GetOrBuildAsync(key);
+    EXPECT_TRUE(ready.ok());
+    if (!ready.ok()) return nullptr;
+    EXPECT_FALSE(ready.ValueOrDie().build_in_flight);
+    return ready.ValueOrDie().index;
+  }
+
+  void ExpectCounts(const IndexManager& manager, std::uint64_t builds,
+                    std::uint64_t refreshes, std::uint64_t invalidations,
+                    std::uint64_t disk_gc, std::uint64_t disk_loads,
+                    std::uint64_t background_builds) {
+    const auto s = manager.stats();
+    EXPECT_EQ(s.builds, builds);
+    EXPECT_EQ(s.refreshes, refreshes);
+    EXPECT_EQ(s.invalidations, invalidations);
+    EXPECT_EQ(s.disk_gc, disk_gc);
+    EXPECT_EQ(s.disk_loads, disk_loads);
+    EXPECT_EQ(s.disk_rejects, 0u);
+    EXPECT_EQ(s.background_builds, async() ? background_builds : 0u);
+  }
+};
+
+TEST_P(IndexLookupLifecycleTest, WalksOneKeyThroughEveryOutcome) {
+  const DirGuard dir(FreshTempDir(async() ? "lifecycle_async"
+                                          : "lifecycle_sync"));
+  Fixture f;
+  f.catalog.Put("t", MakeStringTable(Words(400, "w_")));
+  f.catalog.Put("u", MakeStringTable(Words(100, "u_")));
+  ThreadPool pool(2);
+  IndexManagerOptions options;
+  options.persist_dir = dir.path;
+  options.async_builds = async();
+  // One-byte budget: every install evicts every other resident entry,
+  // but never itself, so a second key is what evicts the first.
+  options.memory_budget_bytes = 1;
+  IndexManager manager = f.MakeManager(options);
+  if (async()) manager.EnableAsyncBuilds(&pool);
+  const IndexKey key{"t", "name", "m", SemanticJoinStrategy::kHnsw};
+  const IndexKey other{"u", "name", "m", SemanticJoinStrategy::kHnsw};
+
+  // Cold build, then a hit on the same instance.
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kAbsent);
+  auto built = Lookup(&manager, key, /*expect_background=*/true);
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(built->size(), 400u);
+  ExpectCounts(manager, 1, 0, 0, 0, 0, 1);
+  const std::uint64_t hits = manager.stats().hits;
+  EXPECT_EQ(Lookup(&manager, key, false), built);
+  EXPECT_EQ(manager.stats().hits, hits + 1);
+  EXPECT_EQ(manager.stats().disk_writes, 1u);
+
+  // 5% appended (20 of 420): refreshed in place.
+  ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(Words(20, "s_"))).ok());
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kRefreshable);
+  auto refreshed = Lookup(&manager, key, true);
+  ASSERT_NE(refreshed, nullptr);
+  EXPECT_EQ(refreshed->size(), 420u);
+  ExpectCounts(manager, 1, 1, 0, 0, 0, 2);
+  EXPECT_EQ(manager.stats().disk_writes, 2u);
+
+  // 30% appended (180 of 600): past the crossover the stale entry is
+  // dropped, its this-process image reclaimed, and the key rebuilt.
+  ASSERT_TRUE(f.catalog.Append("t", *MakeStringTable(Words(180, "l_"))).ok());
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kAbsent);
+  auto rebuilt = Lookup(&manager, key, true);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(rebuilt->size(), 600u);
+  ExpectCounts(manager, 2, 1, 1, 1, 0, 3);
+  EXPECT_EQ(manager.stats().disk_writes, 3u);
+
+  // Destructive Put: invalidation plus GC of the local image, then a
+  // rebuild over the new contents.
+  f.catalog.Put("t", MakeStringTable(Words(600, "z_")));
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kAbsent);
+  auto replaced = Lookup(&manager, key, true);
+  ASSERT_NE(replaced, nullptr);
+  EXPECT_EQ(replaced->size(), 600u);
+  ExpectCounts(manager, 3, 1, 2, 2, 0, 4);
+  EXPECT_EQ(manager.stats().disk_writes, 4u);
+
+  // A second key evicts the first; the first then warm-starts from its
+  // image without a build, on the async side synchronously too.
+  ASSERT_NE(Lookup(&manager, other, true), nullptr);
+  EXPECT_EQ(manager.stats().evictions, 1u);
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kOnDisk);
+  auto warm = Lookup(&manager, key, false);
+  ASSERT_NE(warm, nullptr);
+  EXPECT_EQ(warm->size(), 600u);
+  ExpectCounts(manager, 4, 1, 2, 2, 1, 5);
+  EXPECT_EQ(manager.stats().evictions, 2u);
+  EXPECT_EQ(manager.Residency(key), IndexResidency::kResident);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockingAndAsync, IndexLookupLifecycleTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? std::string("Async")
+                                             : std::string("Blocking");
+                         });
 
 // ---- engine end to end ----
 
